@@ -45,6 +45,7 @@ from .symplectic import (
     inverse,
     preset,
     random_free_matrix,
+    same_matrix,
     validate,
 )
 from .transform import kernel_eval, nslct_direct, nslct_fast, nslct_inverse, spectrum_as_signal
@@ -75,7 +76,7 @@ __all__ = [
     "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
     "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",
     "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "pitt_constant",
-    "pitt_report", "preset", "random_free_matrix", "run_suite",
+    "pitt_report", "preset", "random_free_matrix", "run_suite", "same_matrix",
     "spectrum_as_signal", "stnslct_gram", "stnslct_reconstruct", "synthesize",
     "validate",
 ]

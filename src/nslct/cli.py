@@ -29,11 +29,15 @@ _NUMERIC_ERRORS = (CoverageError, ZeroSignal)
 
 
 def _read_kind(path: str) -> str:
-    with open(path, "r") as fh:
-        for raw in fh:
+    # binary mode: spectrum and gram headers are followed by raw bytes
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
-            if line and not line.startswith("#"):
-                return nio._parse_pairs(line, 1).get("kind", "")
+            if line and not line.startswith(b"#"):
+                try:
+                    return nio._parse_pairs(line.decode(), line_no).get("kind", "")
+                except UnicodeDecodeError:
+                    raise nio.ParseError("header is not text", line_no) from None
     raise nio.ParseError("empty file", 1)
 
 
@@ -64,7 +68,7 @@ def _cmd_transform(args) -> int:
     wgrid = WarpedGrid(frequency_grid(sig.grid), m.b)
     pts = np.stack([ax.ravel() for ax in wgrid.point_meshes()], axis=-1)
     vals = nslct_direct(sig, m, pts).reshape(sig.grid.counts)
-    nio.write_spectrum(args.out, Spectrum(wgrid, vals, sig.grid))
+    nio.write_spectrum(args.out, Spectrum(m, vals, sig.grid))
     return 0
 
 

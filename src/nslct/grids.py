@@ -8,11 +8,13 @@ which keeps every figure in the test battery bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadParam, GridMismatch
+from .symplectic import FreeSymplecticMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,37 +157,69 @@ class WarpedGrid:
 class Spectrum:
     """Transform values on a warped frequency lattice.
 
-    Carries the source grid so the chirp-FFT-chirp pipeline can be undone
-    without guessing the original origin.
+    Carries the matrix it was made under, so an inverse can refuse another
+    one, and the source grid, so the chirp-FFT-chirp pipeline can be undone
+    without guessing the original origin.  The lattice follows from both.
     """
 
-    wgrid: WarpedGrid
+    matrix: FreeSymplecticMatrix
     values: np.ndarray
     signal_grid: Grid
 
     def __post_init__(self):
+        if self.matrix.n != self.signal_grid.n:
+            raise GridMismatch("matrix dimension does not match the signal grid")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if vals.shape != self.wgrid.base.counts:
+        if vals.shape != self.signal_grid.counts:
             raise GridMismatch("spectrum values must be shaped like the base lattice")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def wgrid(self) -> WarpedGrid:
+        return WarpedGrid(frequency_grid(self.signal_grid), self.matrix.b)
+
+
+def shift_lattice(grid: Grid, stride: int) -> Grid:
+    """Window shifts u on every stride-th sample of a grid, from its origin."""
+    if stride < 1 or any(N % stride for N in grid.counts):
+        raise BadParam(f"stride {stride} must be >= 1 and divide the axis counts {grid.counts}")
+    return Grid(
+        tuple(N // stride for N in grid.counts),
+        tuple(stride * d for d in grid.spacing),
+        grid.origin,
+    )
+
 
 @dataclass(frozen=True, eq=False)
 class Gram:
-    """Windowed-transform table indexed (shift u, frequency w)."""
+    """Windowed-transform table indexed (shift u, frequency w).
 
-    wgrid: WarpedGrid
-    ugrid: Grid
+    Like a spectrum it carries its matrix and signal grid; the stride fixes
+    the shift lattice.
+    """
+
+    matrix: FreeSymplecticMatrix
+    signal_grid: Grid
+    stride: int
     values: np.ndarray
+    ugrid: Grid = field(init=False)
 
     def __post_init__(self):
+        if self.matrix.n != self.signal_grid.n:
+            raise GridMismatch("matrix dimension does not match the signal grid")
+        ugrid = shift_lattice(self.signal_grid, self.stride)
+        object.__setattr__(self, "ugrid", ugrid)
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        want = self.ugrid.counts + self.wgrid.base.counts
+        want = ugrid.counts + self.signal_grid.counts
         if vals.shape != want:
             raise GridMismatch(f"gram values must have shape {want}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def wgrid(self) -> WarpedGrid:
+        return WarpedGrid(frequency_grid(self.signal_grid), self.matrix.b)
 
     @property
     def cell(self) -> float:

@@ -1,18 +1,21 @@
-"""Plain-text file formats for matrices, signals, spectra, grams, reports.
+"""File formats for matrices, signals, spectra, grams and reports.
 
-All floats are serialized with Python's shortest round-trip repr (17
-significant digits when needed), so write -> read -> write is byte
-identical.  Writers go through a temp file in the target directory and a
-rename, so readers never observe a half-written file.
+Text floats are serialized with Python's shortest round-trip repr (17
+significant digits when needed), and binary payloads are the raw bytes of
+the values, so write -> read -> write is byte identical.  Writers go
+through a temp file in the target directory and a rename, so readers never
+observe a half-written file.
 
-    matrix    key=value pairs: n plus either preset=... with its
+    matrix    text key=value pairs: n plus either preset=... with its
               parameters, or explicit row-major A=, B=, C=, D= arrays
-    signal    header "kind=signal; n=..; counts=..; spacing=..; origin=.."
+    signal    text header "kind=signal; n=..; counts=..; spacing=..; origin=.."
               then one "re,im" line per sample, row-major
-    spectrum  like signal (grid metadata describes the *source* grid) plus
-              warp=<row-major B>; samples run over the ascending lattice
-    gram      header adds stride, warp, matrix (row-major 2n x 2n) and a
-              window label; rows are "u,w,re,im" with flat row-major u, w
+    spectrum  one header line like signal's (grid fields describe the
+              *source* grid) plus matrix=<row-major 2n x 2n> and
+              payload=<c16, then the samples over the ascending lattice
+              as raw little-endian complex128, row-major
+    gram      spectrum's header plus stride= and window=<label>; the
+              payload runs over (shift u, frequency w), row-major
     report    CSV with one verification record per line, trailing
               "# floor ..." comment lines carry the per-suite margin floors
 """
@@ -23,9 +26,12 @@ import tempfile
 
 import numpy as np
 
-from .errors import NSLCTError
-from .grids import Grid, Gram, SampledSignal, Spectrum, WarpedGrid, frequency_grid
-from .symplectic import FreeSymplecticMatrix, preset, validate
+from .errors import GridMismatch, NSLCTError
+from .grids import Grid, Gram, SampledSignal, Spectrum, shift_lattice
+from .symplectic import FreeSymplecticMatrix, preset, same_matrix, validate
+
+# dtype of spectrum and gram payloads, on every host
+PAYLOAD = "<c16"
 
 
 class ParseError(Exception):
@@ -44,12 +50,14 @@ def _fmt_list(values) -> str:
     return ",".join(_fmt(v) for v in np.asarray(values, dtype=float).ravel())
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, *parts):
+    """Write str (as UTF-8) and bytes-like parts, in order, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode() if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -207,87 +215,72 @@ def read_signal(path: str) -> SampledSignal:
     return SampledSignal(grid, values)
 
 
+def _write_binary(path: str, head: str, m: FreeSymplecticMatrix, values: np.ndarray):
+    head += f"; matrix={_fmt_list(m.as_matrix())}; payload={PAYLOAD}\n"
+    _atomic_write(path, head, np.ascontiguousarray(values, dtype=PAYLOAD))
+
+
+def _read_binary(path: str, kind: str) -> tuple[dict, Grid, FreeSymplecticMatrix, bytes]:
+    """Header fields, source grid and matrix of a spectrum or gram file,
+    plus its undecoded payload."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        payload = fh.read()
+    try:
+        fields = _parse_pairs(head.decode(), 1)
+    except UnicodeDecodeError:
+        raise ParseError(f"{kind} header is not text", 1) from None
+    if fields.get("kind") != kind:
+        raise ParseError(f"not a {kind} file (kind={kind} missing)", 1)
+    if fields.get("payload") != PAYLOAD:
+        raise ParseError(f"{kind} file has no payload={PAYLOAD} field", 1)
+    grid = _grid_from(fields, 1)
+    n = grid.n
+    full = _floats(fields.get("matrix", ""), 1, 4 * n * n).reshape(2 * n, 2 * n)
+    m = validate(full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    return fields, grid, m, payload
+
+
+def _values(payload: bytes, shape: tuple[int, ...], kind: str) -> np.ndarray:
+    want = int(np.prod(shape)) * np.dtype(PAYLOAD).itemsize
+    if len(payload) != want:
+        raise ParseError(f"{kind} payload holds {len(payload)} bytes, expected {want}")
+    return np.frombuffer(payload, dtype=PAYLOAD).reshape(shape)
+
+
 def write_spectrum(path: str, spec: Spectrum):
-    head = (
-        f"kind=spectrum; {_grid_header(spec.signal_grid)}; "
-        f"warp={_fmt_list(spec.wgrid.warp)}"
-    )
-    rows = [head]
-    rows.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in spec.values.ravel())
-    _atomic_write(path, "\n".join(rows) + "\n")
+    head = f"kind=spectrum; {_grid_header(spec.signal_grid)}"
+    _write_binary(path, head, spec.matrix, spec.values)
 
 
 def read_spectrum(path: str) -> Spectrum:
-    lines = _lines(path)
-    if not lines:
-        raise ParseError("empty spectrum file", 1)
-    head_no, head = lines[0]
-    fields = _parse_pairs(head, head_no)
-    if fields.get("kind") != "spectrum":
-        raise ParseError("not a spectrum file (kind=spectrum missing)", head_no)
-    grid = _grid_from(fields, head_no)
-    warp = _floats(fields.get("warp", ""), head_no, grid.n * grid.n).reshape(grid.n, grid.n)
-    table = _read_rows(lines[1:], grid.size, 2, "spectrum")
-    values = _complex_col(table[:, 0], table[:, 1]).reshape(grid.counts)
-    return Spectrum(WarpedGrid(frequency_grid(grid), warp), values, grid)
+    _, grid, m, payload = _read_binary(path, "spectrum")
+    return Spectrum(m, _values(payload, grid.counts, "spectrum"), grid)
 
 
 def write_gram(path: str, gram: Gram, signal_grid: Grid, stride: int,
                m: FreeSymplecticMatrix, window_label: str):
-    base = gram.wgrid.base
-    head = (
-        f"kind=gram; {_grid_header(signal_grid)}; stride={stride}; "
-        f"warp={_fmt_list(gram.wgrid.warp)}; matrix={_fmt_list(m.as_matrix())}; "
-        f"window={window_label}"
-    )
-    rows = [head]
-    usize = gram.ugrid.size
-    wsize = base.size
-    flat = gram.values.reshape(usize, wsize)
-    for u in range(usize):
-        for w in range(wsize):
-            v = flat[u, w]
-            rows.append(f"{u},{w},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(path, "\n".join(rows) + "\n")
+    """Write a gram; the grid, stride and matrix must be the gram's own."""
+    if signal_grid != gram.signal_grid or stride != gram.stride:
+        raise GridMismatch("gram was made on another grid or stride")
+    if not same_matrix(m, gram.matrix):
+        raise GridMismatch("gram was produced under a different matrix")
+    head = f"kind=gram; {_grid_header(signal_grid)}; stride={stride}; window={window_label}"
+    _write_binary(path, head, gram.matrix, gram.values)
 
 
 def read_gram(path: str) -> tuple[Gram, dict]:
-    lines = _lines(path)
-    if not lines:
-        raise ParseError("empty gram file", 1)
-    head_no, head = lines[0]
-    fields = _parse_pairs(head, head_no)
-    if fields.get("kind") != "gram":
-        raise ParseError("not a gram file (kind=gram missing)", head_no)
-    grid = _grid_from(fields, head_no)
-    stride = _int(fields, "stride", head_no)
-    if stride < 1 or any(N % stride for N in grid.counts):
-        raise ParseError(f"stride {stride} does not divide {grid.counts}", head_no)
-    warp = _floats(fields.get("warp", ""), head_no, grid.n * grid.n).reshape(grid.n, grid.n)
-    two_n = 2 * grid.n
-    matrix = _floats(fields.get("matrix", ""), head_no, two_n * two_n).reshape(two_n, two_n)
-    ugrid = Grid(
-        tuple(N // stride for N in grid.counts),
-        tuple(stride * d for d in grid.spacing),
-        grid.origin,
-    )
-    usize, wsize = ugrid.size, grid.size
-    table = _read_rows(lines[1:], usize * wsize, 4, "gram")
-    uu = table[:, 0].astype(int)
-    ww = table[:, 1].astype(int)
-    if np.any(uu < 0) or np.any(uu >= usize) or np.any(ww < 0) or np.any(ww >= wsize):
-        raise ParseError("gram row indices out of range", head_no)
-    flat = np.zeros((usize, wsize), dtype=np.complex128)
-    flat[uu, ww] = _complex_col(table[:, 2], table[:, 3])
-    gram = Gram(
-        WarpedGrid(frequency_grid(grid), warp),
-        ugrid,
-        flat.reshape(ugrid.counts + grid.counts),
-    )
+    fields, grid, m, payload = _read_binary(path, "gram")
+    stride = _int(fields, "stride", 1)
+    try:
+        ugrid = shift_lattice(grid, stride)
+    except NSLCTError as exc:
+        raise ParseError(str(exc), 1) from None
+    gram = Gram(m, grid, stride, _values(payload, ugrid.counts + grid.counts, "gram"))
     meta = {
         "grid": grid,
         "stride": stride,
-        "matrix": matrix,
+        "matrix": m.as_matrix(),
         "window": fields.get("window", ""),
     }
     return gram, meta

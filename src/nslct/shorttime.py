@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
-from .grids import Grid, Gram, SampledSignal, inner, norm_l2
-from .symplectic import FreeSymplecticMatrix
+from .grids import Grid, Gram, SampledSignal, inner, norm_l2, shift_lattice
+from .symplectic import FreeSymplecticMatrix, same_matrix
 from .transform import _FastPlan
 
 
@@ -66,14 +66,8 @@ def _shift_lattice(grid: Grid, wspec: WindowSpec):
     if wspec.window.grid != grid:
         raise GridMismatch("signal and window must share one grid")
     s = wspec.stride
-    if any(N % s != 0 for N in grid.counts):
-        raise BadParam(f"stride {s} must divide the axis counts {grid.counts}")
+    ugrid = shift_lattice(grid, s)
     offs = _origin_offsets(grid)
-    ugrid = Grid(
-        tuple(N // s for N in grid.counts),
-        tuple(s * d for d in grid.spacing),
-        grid.origin,
-    )
     shifts = [
         tuple(s * idx[j] + offs[j] for j in range(grid.n))
         for idx in np.ndindex(ugrid.counts)
@@ -108,7 +102,7 @@ def stnslct_gram(
     else:
         for i in range(ugrid.size):
             row(i)
-    return Gram(plan.wgrid, ugrid, vals)
+    return Gram(m, f.grid, wspec.stride, vals)
 
 
 def boundedness_margin(
@@ -142,12 +136,12 @@ def stnslct_reconstruct(
     if denominator not in ("pointwise", "constant"):
         raise BadParam(f"unknown denominator mode {denominator!r}")
     grid = wspec.window.grid
-    ugrid, shifts = _shift_lattice(grid, wspec)
-    if ugrid != g.ugrid:
+    if g.signal_grid != grid or g.stride != wspec.stride:
         raise GridMismatch("gram shift lattice does not match the window spec")
+    if not same_matrix(g.matrix, m):
+        raise GridMismatch("gram was produced under a different matrix")
+    ugrid, shifts = _shift_lattice(grid, wspec)
     plan = _FastPlan(grid, m)
-    if plan.wgrid != g.wgrid:
-        raise GridMismatch("gram frequency lattice does not match grid and matrix")
 
     wv = wspec.window.values
     ucell = ugrid.vol

@@ -215,6 +215,22 @@ def inverse(m: FreeSymplecticMatrix) -> FreeSymplecticMatrix:
     return validate(m.d.T, -m.b.T, -m.c.T, m.a.T)
 
 
+def same_matrix(m: FreeSymplecticMatrix, other: FreeSymplecticMatrix) -> bool:
+    """True when all four blocks agree to 1e-12 relative to the larger entry.
+
+    Spectra and grams carry the matrix they were made under, and the
+    inverses use this to refuse any other: a shared B block gives the same
+    output lattice but a different transform.
+    """
+    if m is other:
+        return True
+    if m.n != other.n:
+        return False
+    a, b = m.as_matrix(), other.as_matrix()
+    scale = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) <= 1e-12 * scale
+
+
 def compose(m: FreeSymplecticMatrix, other: FreeSymplecticMatrix) -> FreeSymplecticMatrix:
     """Matrix product m @ other, split back into blocks and validated.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .grids import Grid, SampledSignal, Spectrum, WarpedGrid, frequency_grid
-from .symplectic import FreeSymplecticMatrix
+from .symplectic import FreeSymplecticMatrix, same_matrix
 
 
 def _points(p, n: int) -> np.ndarray:
@@ -116,18 +116,16 @@ class _FastPlan:
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:
     """Transform on the warped FFT lattice w = B omega in O(N log N)."""
     plan = _FastPlan(f.grid, m)
-    return Spectrum(plan.wgrid, plan.forward_values(f.values), f.grid)
-
-
-def _check_warp(spec: Spectrum, m: FreeSymplecticMatrix):
-    scale = 1.0 + float(np.max(np.abs(m.b)))
-    if spec.wgrid.warp.shape != m.b.shape or np.max(np.abs(spec.wgrid.warp - m.b)) > 1e-12 * scale:
-        raise GridMismatch("spectrum lattice was produced by a different B block")
+    return Spectrum(m, plan.forward_values(f.values), f.grid)
 
 
 def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
-    """Undo nslct_fast; exact (to rounding) on its own lattice."""
-    _check_warp(spec, m)
+    """Undo nslct_fast; exact (to rounding) on its own lattice.
+
+    Raises GridMismatch unless m is the matrix the spectrum was made under.
+    """
+    if not same_matrix(spec.matrix, m):
+        raise GridMismatch("spectrum was produced under a different matrix")
     plan = _FastPlan(spec.signal_grid, m)
     return SampledSignal(spec.signal_grid, plan.inverse_values(spec.values))
 

@@ -17,7 +17,7 @@ from .errors import BadAlpha, BadBox, BadP, GridMismatch, ZeroSignal
 from .grids import Gram, SampledSignal, lp_norm, norm_l2
 from .shorttime import WindowSpec, stnslct_gram
 from .specialfns import digamma_fn, gamma_fn
-from .symplectic import FreeSymplecticMatrix
+from .symplectic import FreeSymplecticMatrix, same_matrix
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,8 @@ def concentration(
 
     An empty box (lo > hi) is allowed and yields the full energy as tail.
     """
-    if np.max(np.abs(g.wgrid.warp - m.b)) > 1e-12 * (1.0 + float(np.max(np.abs(m.b)))):
-        raise GridMismatch("gram lattice was produced by a different B block")
+    if not same_matrix(g.matrix, m):
+        raise GridMismatch("gram was produced under a different matrix")
     sb = _check_box(s_box, f.grid, "S")
     eb = _check_box(e_box, g.wgrid.base, "E")
 

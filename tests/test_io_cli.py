@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from nslct import (
+    GridMismatch,
     SampledSignal,
     WindowSpec,
     norm_l2,
     nslct_fast,
+    nslct_inverse,
     preset,
     stnslct_gram,
+    stnslct_reconstruct,
     synthesize,
 )
 from nslct import io as nio
@@ -84,6 +87,82 @@ def test_gram_round_trip_bit_exact(tmp_path):
     assert np.array_equal(meta["matrix"], m.as_matrix())
     nio.write_gram(p2, back, meta["grid"], meta["stride"], m, meta["window"])
     assert read_bytes(p1) == read_bytes(p2)
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "gram"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_payload_off_by_one_byte_is_refused(workdir, kind, delta):
+    d, g, f, w = workdir
+    m = preset("frft", 1, alpha=0.7)
+    path = d / f"{kind}.bin"
+    if kind == "spectrum":
+        nio.write_spectrum(path, nslct_fast(f, m))
+        read, extra = nio.read_spectrum, []
+    else:
+        wspec = WindowSpec(w, stride=4)
+        nio.write_gram(path, stnslct_gram(f, wspec, m), g, 4, m, "w.txt")
+        read, extra = nio.read_gram, ["--window", d / "w.txt"]
+    data = read_bytes(path)
+    path.write_bytes(data[:-1] if delta < 0 else data + b"\0")
+    with pytest.raises(nio.ParseError, match="payload"):
+        read(path)
+    rc, _, err = run_cli("invert", "--input", path, "--matrix", d / "m.txt",
+                         *extra, "--out", d / "x.txt")
+    assert rc == 2
+    assert err.startswith("ParseError")
+
+
+def test_text_era_gram_is_refused(tmp_path):
+    g = grid1()
+    m = preset("frft", 1, alpha=0.6)
+    gram = stnslct_gram(synthesize("noise", g, seed=5),
+                        WindowSpec(gaussian_1d(g, sigma=1.1), stride=8), m)
+
+    def fl(a):
+        return ",".join(repr(float(x)) for x in np.ravel(a))
+
+    rows = [
+        f"kind=gram; n=1; counts=256; spacing={fl(g.spacing)}; origin={fl(g.origin)}; "
+        f"stride=8; warp={fl(m.b)}; matrix={fl(m.as_matrix())}; window=w"
+    ]
+    flat = gram.values.reshape(gram.ugrid.size, g.size)
+    rows += [f"{u},{k},{v.real!r},{v.imag!r}" for u in range(flat.shape[0])
+             for k, v in enumerate(flat[u])]
+    path = tmp_path / "old.txt"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(nio.ParseError):
+        nio.read_gram(path)
+
+
+def test_inverses_refuse_a_matrix_sharing_only_b(tmp_path):
+    g = grid1()
+    f = synthesize("noise", g, seed=6)
+    made, other = preset("fresnel", 1, b=1.5), preset("separable", 1, a=1, b=1.5, c=0.4, d=1.6)
+    assert np.array_equal(made.b, other.b)
+    with pytest.raises(GridMismatch):
+        nslct_inverse(nslct_fast(f, made), other)
+    wspec = WindowSpec(gaussian_1d(g, sigma=1.1), stride=4)
+    with pytest.raises(GridMismatch):
+        stnslct_reconstruct(stnslct_gram(f, wspec, made), wspec, other)
+
+
+def test_cli_invert_refuses_a_matrix_sharing_only_b(workdir):
+    d, g, f, w = workdir
+    (d / "fr.txt").write_text("n=1; preset=fresnel; b=1.5\n")
+    (d / "sep.txt").write_text("n=1; preset=separable; a=1; b=1.5; c=0.4; d=1.6\n")
+    rc, _, err = run_cli("transform", "--signal", d / "f.txt", "--matrix", d / "fr.txt",
+                         "--out", d / "F.bin")
+    assert rc == 0, err
+    rc, _, err = run_cli("gram", "--signal", d / "f.txt", "--window", d / "w.txt",
+                         "--matrix", d / "fr.txt", "--stride", 4, "--out", d / "V.bin")
+    assert rc == 0, err
+    for extra in ([], ["--window", d / "w.txt"]):
+        inp = d / ("V.bin" if extra else "F.bin")
+        rc, _, err = run_cli("invert", "--input", inp, "--matrix", d / "sep.txt",
+                             *extra, "--out", d / "x.txt")
+        assert rc == 3
+        assert err.startswith("GridMismatch")
+        assert not (d / "x.txt").exists()
 
 
 def test_matrix_file_forms(tmp_path):

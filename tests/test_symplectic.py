@@ -10,6 +10,7 @@ from nslct import (
     inverse,
     preset,
     random_free_matrix,
+    same_matrix,
     validate,
 )
 
@@ -128,6 +129,18 @@ def test_frft_angle_addition():
     got = compose(preset("frft", 1, alpha=a1), preset("frft", 1, alpha=a2))
     want = preset("frft", 1, alpha=a1 + a2)
     assert np.allclose(got.as_matrix(), want.as_matrix(), atol=1e-15)
+
+
+def test_same_matrix_compares_every_block():
+    m = preset("frft", 2, alpha=0.7)
+    assert same_matrix(m, m)
+    assert same_matrix(m, validate(m.a, m.b, m.c, m.d))
+    nudged = validate(m.a, m.b * (1.0 + 1e-14), m.c, m.d)
+    assert same_matrix(m, nudged) and same_matrix(nudged, m)
+    # (I, B : 0, I) and (I, B : S, I + S B) share B and differ in C and D
+    fr = preset("fresnel", 1, b=1.5)
+    assert not same_matrix(fr, preset("separable", 1, a=1, b=1.5, c=0.4, d=1.6))
+    assert not same_matrix(fr, preset("fresnel", 2, b=1.5))
 
 
 def test_sigma_min_against_svd_oracle():

@@ -16,6 +16,7 @@ from nslct import (
     random_free_matrix,
     spectrum_as_signal,
     synthesize,
+    validate,
 )
 
 from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err
@@ -125,7 +126,8 @@ def test_spectrum_as_signal_requires_diagonal_warp():
     spec = nslct_fast(f, m)
     ok = spectrum_as_signal(spec)
     assert ok.grid.spacing[0] == pytest.approx(1.5 * spec.wgrid.base.spacing[0])
-    skew = type(spec)(type(spec.wgrid)(spec.wgrid.base, rot), spec.values, f.grid)
+    # (0, R : -R, 0) is free symplectic for a rotation R and puts R in B
+    skew = type(spec)(validate(0 * rot, rot, -rot, 0 * rot), spec.values, f.grid)
     with pytest.raises(GridMismatch):
         spectrum_as_signal(skew)
 
