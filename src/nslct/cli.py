@@ -41,14 +41,6 @@ def _read_kind(path: str) -> str:
     raise nio.ParseError("empty file", 1)
 
 
-def _workers() -> int:
-    raw = os.environ.get("NSLCT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise nio.ParseError(f"NSLCT_THREADS must be an integer, got {raw!r}") from None
-
-
 def _cmd_transform(args) -> int:
     sig = nio.read_signal(args.signal)
     m = nio.read_matrix(args.matrix)
@@ -83,7 +75,7 @@ def _cmd_gram(args) -> int:
         )
         return 2
     wspec = WindowSpec(window, stride=args.stride)
-    gram = stnslct_gram(sig, wspec, m, workers=_workers())
+    gram = stnslct_gram(sig, wspec, m)
     nio.write_gram(args.out, gram, sig.grid, args.stride, m,
                    os.path.basename(args.window))
     return 0

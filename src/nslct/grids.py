@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParam, GridMismatch
-from .symplectic import FreeSymplecticMatrix
+from .symplectic import FreeSymplecticMatrix, _det
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,10 +136,7 @@ class WarpedGrid:
 
     @property
     def det_warp(self) -> float:
-        w = self.warp
-        if w.shape[0] == 1:
-            return float(w[0, 0])
-        return float(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0])
+        return _det(self.warp)
 
     @property
     def cell(self) -> float:

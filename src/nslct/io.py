@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import GridMismatch, NSLCTError
+from .errors import BadParam, GridMismatch, NSLCTError
 from .grids import Grid, Gram, SampledSignal, Spectrum, shift_lattice
 from .symplectic import FreeSymplecticMatrix, preset, same_matrix, validate
 
@@ -260,7 +260,13 @@ def read_spectrum(path: str) -> Spectrum:
 
 def write_gram(path: str, gram: Gram, signal_grid: Grid, stride: int,
                m: FreeSymplecticMatrix, window_label: str):
-    """Write a gram; the grid, stride and matrix must be the gram's own."""
+    """Write a gram; the grid, stride and matrix must be the gram's own.
+
+    The window label goes into the one-line `;`-separated header, so it may
+    hold no `;` and no line break.
+    """
+    if any(ch in window_label for ch in ";\n\r"):
+        raise BadParam(f"window label {window_label!r} may not contain ';' or a line break")
     if signal_grid != gram.signal_grid or stride != gram.stride:
         raise GridMismatch("gram was made on another grid or stride")
     if not same_matrix(m, gram.matrix):

@@ -9,8 +9,7 @@ precomputed fast-transform plan.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,7 @@ class WindowSpec:
 
     window: SampledSignal
     stride: int = 1
-    norm2: float = 0.0
+    norm2: float = field(init=False)
 
     def __post_init__(self):
         if int(self.stride) != self.stride or self.stride < 1:
@@ -75,33 +74,15 @@ def _shift_lattice(grid: Grid, wspec: WindowSpec):
     return ugrid, shifts
 
 
-def stnslct_gram(
-    f: SampledSignal,
-    wspec: WindowSpec,
-    m: FreeSymplecticMatrix,
-    workers: int = 1,
-) -> Gram:
-    """Tabulate the windowed transform over the (u, w) lattice.
-
-    workers > 1 splits the shift loop across a thread pool; rows land in
-    fixed slots so the result does not depend on scheduling.
-    """
+def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
+    """Tabulate the windowed transform over the (u, w) lattice."""
     ugrid, shifts = _shift_lattice(f.grid, wspec)
     plan = _FastPlan(f.grid, m)
     wv = wspec.window.values
     vals = np.empty(ugrid.counts + f.grid.counts, dtype=np.complex128)
     flat = vals.reshape(ugrid.size, *f.grid.counts)
-
-    def row(i: int):
-        windowed = f.values * np.conj(_place_shifted(wv, shifts[i]))
-        flat[i] = plan.forward_values(windowed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(row, range(ugrid.size)))
-    else:
-        for i in range(ugrid.size):
-            row(i)
+    for i in range(ugrid.size):
+        flat[i] = plan.forward_values(f.values * np.conj(_place_shifted(wv, shifts[i])))
     return Gram(m, f.grid, wspec.stride, vals)
 
 
@@ -161,7 +142,9 @@ def stnslct_reconstruct(
 
 
 def moyal(g1: Gram, g2: Gram) -> complex:
-    """Pairing of two grams over their shared (u, w) lattice."""
-    if g1.ugrid != g2.ugrid or g1.wgrid != g2.wgrid:
+    """Pairing of two grams over their shared (u, w) lattice and matrix."""
+    if g1.signal_grid != g2.signal_grid or g1.stride != g2.stride:
         raise GridMismatch("moyal pairing needs grams on one lattice")
+    if not same_matrix(g1.matrix, g2.matrix):
+        raise GridMismatch("moyal pairing needs grams made under one matrix")
     return complex(np.sum(g1.values * np.conj(g2.values)) * g1.cell)

@@ -73,6 +73,19 @@ def dispersion_spectral(g: Gram) -> float:
     return float(g.cell * np.sum(np.abs(g.values) ** 2 * w2))
 
 
+def _radius(meshes) -> np.ndarray:
+    """|x| over a lattice, from one coordinate array per axis."""
+    return np.sqrt(sum(mm * mm for mm in meshes))
+
+
+def _off_zero(r: np.ndarray, fn) -> np.ndarray:
+    """fn(r) on the cells where r > 0; the zero cell gets weight zero."""
+    out = np.zeros_like(r)
+    nz = r > 0.0
+    out[nz] = fn(r[nz])
+    return out
+
+
 def _gram_for(f, wspec, m, gram):
     return gram if gram is not None else stnslct_gram(f, wspec, m)
 
@@ -114,16 +127,14 @@ def pitt_report(
     g = _gram_for(f, wspec, m, gram)
     _require_nonzero(f)
 
-    wnorm = np.sqrt(sum(mm * mm for mm in g.wgrid.point_meshes()))
+    wnorm = _radius(g.wgrid.point_meshes())
     if alpha == 0.0:
         weight = np.ones_like(wnorm)
     else:
-        weight = np.zeros_like(wnorm)
-        nz = wnorm > 0.0
-        weight[nz] = wnorm[nz] ** (-alpha)
+        weight = _off_zero(wnorm, lambda r: r ** (-alpha))
     lhs = float(g.cell * np.sum(np.abs(g.values) ** 2 * weight))
 
-    xnorm = np.sqrt(sum(mm * mm for mm in f.grid.mesh()))
+    xnorm = _radius(f.grid.mesh())
     moment = float(f.grid.vol * np.sum(xnorm**alpha * np.abs(f.values) ** 2))
     constant = pitt_constant(m.n, alpha)
     rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
@@ -191,16 +202,10 @@ def log_report(
     nf = _require_nonzero(f)
     g = _gram_for(f, wspec, m, gram)
 
-    onorm = np.sqrt(sum(mm * mm for mm in g.wgrid.base.mesh()))
-    wlog = np.zeros_like(onorm)
-    nz = onorm > 0.0
-    wlog[nz] = np.log(onorm[nz])
+    wlog = _off_zero(_radius(g.wgrid.base.mesh()), np.log)
     wterm = float(g.cell * np.sum(np.abs(g.values) ** 2 * wlog))
 
-    xnorm = np.sqrt(sum(mm * mm for mm in f.grid.mesh()))
-    xlog = np.zeros_like(xnorm)
-    nz = xnorm > 0.0
-    xlog[nz] = np.log(xnorm[nz])
+    xlog = _off_zero(_radius(f.grid.mesh()), np.log)
     xterm = float(f.grid.vol * np.sum(xlog * np.abs(f.values) ** 2))
 
     lhs = wterm + wspec.norm2 * xterm

@@ -53,15 +53,14 @@ def _scale(lhs: float, rhs: float) -> float:
 
 
 def _ineq(suite: str, rep: UPReport, params: str) -> Record:
-    ok = rep.margin >= -TOL_INEQUALITY * _scale(rep.lhs, rep.rhs)
     return Record(suite, rep.name, params, rep.lhs, rep.rhs, rep.constant,
-                  rep.margin, TOL_INEQUALITY, ok)
+                  rep.margin, TOL_INEQUALITY, rep.passed(TOL_INEQUALITY))
 
 
 def _equality(suite: str, rep: UPReport, params: str) -> Record:
     ok = (
         abs(rep.margin) <= TOL_EQUALITY * _scale(rep.lhs, rep.rhs)
-        and rep.margin >= -TOL_INEQUALITY * _scale(rep.lhs, rep.rhs)
+        and rep.passed(TOL_INEQUALITY)
     )
     return Record(suite, rep.name + ":equality", params, rep.lhs, rep.rhs,
                   rep.constant, rep.margin, TOL_EQUALITY, ok)
@@ -233,49 +232,26 @@ def _suite_bounded(combos: list[_Combo]) -> list[Record]:
     return out
 
 
-def _suite_heisenberg(combos: list[_Combo]) -> list[Record]:
-    return [
-        _ineq("heisenberg", heisenberg_report(c.f, c.wspec, c.m, gram=c.gram), c.params)
-        for c in combos
-    ]
-
-
-def _suite_pitt(combos: list[_Combo]) -> list[Record]:
-    out = []
-    for c in combos:
-        rep0 = pitt_report(c.f, c.wspec, c.m, 0.0, gram=c.gram)
-        out.append(_equality("pitt", rep0, c.params + ";alpha=0"))
-        rep = pitt_report(c.f, c.wspec, c.m, 0.5, gram=c.gram)
-        out.append(_ineq("pitt", rep, c.params + ";alpha=0.5"))
-    return out
-
-
-def _suite_lieb(combos: list[_Combo]) -> list[Record]:
-    out = []
-    for c in combos:
-        out.append(_equality("lieb", lieb_report(c.f, c.wspec, c.m, 2.0, gram=c.gram),
-                             c.params + ";p=2"))
-        out.append(_ineq("lieb", lieb_report(c.f, c.wspec, c.m, 4.0, gram=c.gram),
-                         c.params + ";p=4"))
-    return out
-
-
-def _suite_hy(combos: list[_Combo]) -> list[Record]:
-    out = []
-    for c in combos:
-        for p in (1.0, 1.5):
-            rep = hausdorff_young_report(c.f, c.wspec, c.m, p, gram=c.gram)
-            out.append(_ineq("hy", rep, c.params + f";p={p}"))
-        rep = hausdorff_young_report(c.f, c.wspec, c.m, 2.0, gram=c.gram)
-        out.append(_equality("hy", rep, c.params + ";p=2.0"))
-    return out
-
-
-def _suite_log(combos: list[_Combo]) -> list[Record]:
-    return [
-        _ineq("log", log_report(c.f, c.wspec, c.m, gram=c.gram), c.params)
-        for c in combos
-    ]
+# per inequality family: (report, keyword arguments, params suffix, record
+# rule), applied in this order to each combo's shared gram; the suffixes are
+# written out because reports carry them verbatim
+_FAMILIES = {
+    "heisenberg": ((heisenberg_report, {}, "", _ineq),),
+    "pitt": (
+        (pitt_report, {"alpha": 0.0}, ";alpha=0", _equality),
+        (pitt_report, {"alpha": 0.5}, ";alpha=0.5", _ineq),
+    ),
+    "lieb": (
+        (lieb_report, {"p": 2.0}, ";p=2", _equality),
+        (lieb_report, {"p": 4.0}, ";p=4", _ineq),
+    ),
+    "hy": (
+        (hausdorff_young_report, {"p": 1.0}, ";p=1.0", _ineq),
+        (hausdorff_young_report, {"p": 1.5}, ";p=1.5", _ineq),
+        (hausdorff_young_report, {"p": 2.0}, ";p=2.0", _equality),
+    ),
+    "log": ((log_report, {}, "", _ineq),),
+}
 
 
 def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]]:
@@ -299,16 +275,11 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
             records.extend(_suite_moyal(combos, seed))
         elif name == "bounded":
             records.extend(_suite_bounded(combos))
-        elif name == "heisenberg":
-            records.extend(_suite_heisenberg(combos))
-        elif name == "pitt":
-            records.extend(_suite_pitt(combos))
-        elif name == "lieb":
-            records.extend(_suite_lieb(combos))
-        elif name == "hy":
-            records.extend(_suite_hy(combos))
-        elif name == "log":
-            records.extend(_suite_log(combos))
+        else:
+            for c in combos:
+                for report, kwargs, suffix, rule in _FAMILIES[name]:
+                    rep = report(c.f, c.wspec, c.m, gram=c.gram, **kwargs)
+                    records.append(rule(name, rep, c.params + suffix))
 
     floors: dict[str, float] = {}
     for rec in records:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nslct import (
+    BadParam,
     GridMismatch,
     SampledSignal,
     WindowSpec,
@@ -163,6 +164,28 @@ def test_cli_invert_refuses_a_matrix_sharing_only_b(workdir):
         assert rc == 3
         assert err.startswith("GridMismatch")
         assert not (d / "x.txt").exists()
+
+
+@pytest.mark.parametrize("label", ["w;1.txt", "w\n1.txt", "w\r1.txt"])
+def test_write_gram_refuses_a_label_that_breaks_the_header(tmp_path, label):
+    g = grid1()
+    m = preset("frft", 1, alpha=0.6)
+    gram = stnslct_gram(synthesize("noise", g, seed=5),
+                        WindowSpec(gaussian_1d(g, sigma=1.1), stride=8), m)
+    path = tmp_path / "V.bin"
+    with pytest.raises(BadParam):
+        nio.write_gram(path, gram, g, 8, m, label)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_gram_refuses_a_window_name_with_a_separator(workdir):
+    d, g, f, w = workdir
+    nio.write_signal(d / "w;1.txt", w)
+    rc, _, err = run_cli("gram", "--signal", d / "f.txt", "--window", d / "w;1.txt",
+                         "--matrix", d / "m.txt", "--stride", 4, "--out", d / "V.bin")
+    assert rc == 3
+    assert err.startswith("BadParam")
+    assert not (d / "V.bin").exists()
 
 
 def test_matrix_file_forms(tmp_path):

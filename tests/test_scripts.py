@@ -1,0 +1,18 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_verify.py", ["--suite", "parseval"]),
+    ("transform_demo.py", []),
+])
+def test_script_runs_and_exits_zero(script, args):
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -41,6 +41,8 @@ def test_window_spec_validation():
         WindowSpec(w, stride=2.5)
     with pytest.raises(ZeroSignal):
         WindowSpec(SampledSignal(g, np.zeros(256, dtype=complex)), stride=1)
+    with pytest.raises(TypeError):  # the squared norm is always computed
+        WindowSpec(w, stride=1, norm2=5.0)
 
 
 def test_stride_must_divide_counts():
@@ -80,16 +82,6 @@ def test_unit_window_collapses_to_plain_transform():
     assert np.max(np.abs(gram.values - spec.values[None, :])) <= 1e-12
 
 
-def test_workers_do_not_change_values():
-    g = grid1()
-    f = synthesize("noise", g, seed=5)
-    wspec = WindowSpec(gaussian_1d(g, sigma=1.3), stride=4)
-    m = preset("fresnel", 1, b=1.5)
-    a = stnslct_gram(f, wspec, m, workers=1)
-    b = stnslct_gram(f, wspec, m, workers=3)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_moyal_energy_identity():
     g, f, wspec = matched_setup(stride=2, sigma=1.2)
     rng = np.random.default_rng(8)
@@ -119,6 +111,11 @@ def test_moyal_rejects_mismatched_lattices():
     g2 = stnslct_gram(f, wspec, preset("frft", 1, alpha=0.4))
     with pytest.raises(GridMismatch):
         moyal(g1, g2)
+    # same B block, different A, C and D: the lattices agree but the grams don't
+    g3 = stnslct_gram(f, wspec, preset("fresnel", 1, b=1.5))
+    g4 = stnslct_gram(f, wspec, preset("separable", 1, a=1, b=1.5, c=0.4, d=1.6))
+    with pytest.raises(GridMismatch):
+        moyal(g3, g4)
 
 
 def test_boundedness_margin_nonnegative_and_tight_when_matched():

@@ -1,0 +1,43 @@
+from nslct import SUITE_NAMES, run_suite
+
+CYCLE = ("fourier", "frft", "fresnel", "separable", "random", "random")
+COMBOS = [f"combo=n1-{i:02d}-{CYCLE[i % 6]};n=1" for i in range(20)] + [
+    f"combo=n2-{i:02d}-{tag};n=2" for i, tag in enumerate(("fourier", "frft", "fresnel", "random"))
+]
+
+
+def expected_labels() -> dict[str, list[tuple[str, str]]]:
+    """(name, params) per suite, in record order, written out by hand."""
+    pairs = [("orthogonal-signals", 0), ("orthogonal-windows", 1),
+             ("orthogonal-signals", 2), ("orthogonal-windows", 3)]
+    per_combo = {
+        "heisenberg": [("heisenberg", "")],
+        "pitt": [("pitt:equality", ";alpha=0"), ("pitt", ";alpha=0.5")],
+        "lieb": [("lieb:equality", ";p=2"), ("lieb", ";p=4")],
+        "hy": [("hausdorff-young", ";p=1.0"), ("hausdorff-young", ";p=1.5"),
+               ("hausdorff-young:equality", ";p=2.0")],
+        "log": [("logarithmic", "")],
+    }
+    out = {
+        "parseval": [("parseval", f"i={i};n={2 if i % 5 == 4 else 1};matrix={CYCLE[i % 6]}")
+                     for i in range(20)],
+        "moyal": [("moyal-energy", c) for c in COMBOS]
+        + [(f"moyal-{label}", f"pair={i}") for label, i in pairs],
+        "bounded": [("boundedness", c) for c in COMBOS]
+        + [("boundedness:equality", "matched-gaussian")],
+    }
+    for suite, entries in per_combo.items():
+        out[suite] = [(name, c + suffix) for c in COMBOS for name, suffix in entries]
+    return out
+
+
+def test_run_suite_all_pins_record_labels_and_order():
+    records, floors = run_suite("all", seed=1)
+    want = expected_labels()
+    got = [(r.suite, r.name, r.params) for r in records]
+    assert got == [(s, name, params) for s in SUITE_NAMES for name, params in want[s]]
+    assert {s: sum(r.suite == s for r in records) for s in SUITE_NAMES} == {
+        "parseval": 20, "moyal": 28, "bounded": 25, "heisenberg": 24,
+        "pitt": 48, "lieb": 48, "hy": 72, "log": 24,
+    }
+    assert sorted(floors) == sorted(SUITE_NAMES)
