@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io as nio
-from .errors import CoverageError, NSLCTError, ZeroSignal
+from .errors import BadParam, CoverageError, NSLCTError, ZeroSignal
 from .grids import SampledSignal, Spectrum, WarpedGrid, frequency_grid, norm_l2
 from .shorttime import WindowSpec, stnslct_gram, stnslct_reconstruct
 from .transform import nslct_direct, nslct_fast, nslct_inverse
@@ -28,17 +28,8 @@ from .verify import SUITE_NAMES, run_suite
 _NUMERIC_ERRORS = (CoverageError, ZeroSignal)
 
 
-def _read_kind(path: str) -> str:
-    # binary mode: spectrum and gram headers are followed by raw bytes
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith(b"#"):
-                try:
-                    return nio._parse_pairs(line.decode(), line_no).get("kind", "")
-                except UnicodeDecodeError:
-                    raise nio.ParseError("header is not text", line_no) from None
-    raise nio.ParseError("empty file", 1)
+class UsageError(Exception):
+    """Options that do not fit together or do not fit the input files."""
 
 
 def _cmd_transform(args) -> int:
@@ -46,8 +37,7 @@ def _cmd_transform(args) -> int:
     m = nio.read_matrix(args.matrix)
     if args.method == "fast":
         if args.wpoints:
-            print("--wpoints requires --method direct", file=sys.stderr)
-            return 2
+            raise UsageError("--wpoints requires --method direct")
         spec = nslct_fast(sig, m)
         nio.write_spectrum(args.out, spec)
         return 0
@@ -68,36 +58,31 @@ def _cmd_gram(args) -> int:
     sig = nio.read_signal(args.signal)
     window = nio.read_signal(args.window)
     m = nio.read_matrix(args.matrix)
-    if args.stride < 1 or any(N % args.stride for N in sig.grid.counts):
-        print(
-            f"stride {args.stride} must be >= 1 and divide counts {sig.grid.counts}",
-            file=sys.stderr,
-        )
-        return 2
-    wspec = WindowSpec(window, stride=args.stride)
-    gram = stnslct_gram(sig, wspec, m)
+    try:  # every BadParam here is the library's verdict on --stride
+        wspec = WindowSpec(window, stride=args.stride)
+        gram = stnslct_gram(sig, wspec, m)
+    except BadParam as exc:
+        raise UsageError(str(exc)) from None
     nio.write_gram(args.out, gram, sig.grid, args.stride, m,
                    os.path.basename(args.window))
     return 0
 
 
 def _cmd_invert(args) -> int:
-    kind = _read_kind(args.input)
+    kind = nio.read_kind(args.input)
     m = nio.read_matrix(args.matrix)
     if kind == "spectrum":
         spec = nio.read_spectrum(args.input)
         rec = nslct_inverse(spec, m)
     elif kind == "gram":
         if not args.window:
-            print("gram inversion needs --window", file=sys.stderr)
-            return 2
-        gram, meta = nio.read_gram(args.input)
+            raise UsageError("gram inversion needs --window")
+        gram, _ = nio.read_gram(args.input)
         window = nio.read_signal(args.window)
-        wspec = WindowSpec(window, stride=meta["stride"])
+        wspec = WindowSpec(window, stride=gram.stride)
         rec = stnslct_reconstruct(gram, wspec, m, denominator=args.denominator)
     else:
-        print(f"cannot invert a file of kind {kind!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot invert a file of kind {kind!r}")
     nio.write_signal(args.out, rec)
     if args.reference:
         ref = nio.read_signal(args.reference)
@@ -170,8 +155,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except nio.ParseError as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
+    except (nio.ParseError, UsageError, OSError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -179,9 +164,6 @@ def main(argv=None) -> int:
     except NSLCTError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

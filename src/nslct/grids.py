@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParam, GridMismatch
-from .symplectic import FreeSymplecticMatrix, _det
+from .symplectic import FreeSymplecticMatrix, _det, same_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,6 +222,15 @@ class Gram:
     def cell(self) -> float:
         """Volume of one (u, w) cell."""
         return self.wgrid.cell * self.ugrid.vol
+
+
+def check_gram(g: Gram, grid: Grid, m: FreeSymplecticMatrix, stride: int | None = None):
+    """Raise GridMismatch unless g was made on grid, under m and, when a
+    stride is given, at that stride."""
+    if g.signal_grid != grid or (stride is not None and g.stride != stride):
+        raise GridMismatch("gram was made on another grid or stride")
+    if not same_matrix(g.matrix, m):
+        raise GridMismatch("gram was produced under a different matrix")
 
 
 def frequency_grid(grid: Grid) -> Grid:

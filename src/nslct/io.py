@@ -26,9 +26,9 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadParam, GridMismatch, NSLCTError
-from .grids import Grid, Gram, SampledSignal, Spectrum, shift_lattice
-from .symplectic import FreeSymplecticMatrix, preset, same_matrix, validate
+from .errors import BadParam, NSLCTError
+from .grids import Grid, Gram, SampledSignal, Spectrum, check_gram, shift_lattice
+from .symplectic import FreeSymplecticMatrix, preset, validate
 
 # dtype of spectrum and gram payloads, on every host
 PAYLOAD = "<c16"
@@ -220,16 +220,30 @@ def _write_binary(path: str, head: str, m: FreeSymplecticMatrix, values: np.ndar
     _atomic_write(path, head, np.ascontiguousarray(values, dtype=PAYLOAD))
 
 
+def _header(head: bytes, what: str) -> dict[str, str]:
+    """Fields of a spectrum or gram header: the first line of the file."""
+    try:
+        return _parse_pairs(head.decode(), 1)
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} is not text", 1) from None
+
+
+def read_kind(path: str) -> str:
+    """The kind= field of a file's first line; "" when it has none."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    if not head:
+        raise ParseError("empty file", 1)
+    return _header(head, "header").get("kind", "")
+
+
 def _read_binary(path: str, kind: str) -> tuple[dict, Grid, FreeSymplecticMatrix, bytes]:
     """Header fields, source grid and matrix of a spectrum or gram file,
     plus its undecoded payload."""
     with open(path, "rb") as fh:
         head = fh.readline()
         payload = fh.read()
-    try:
-        fields = _parse_pairs(head.decode(), 1)
-    except UnicodeDecodeError:
-        raise ParseError(f"{kind} header is not text", 1) from None
+    fields = _header(head, f"{kind} header")
     if fields.get("kind") != kind:
         raise ParseError(f"not a {kind} file (kind={kind} missing)", 1)
     if fields.get("payload") != PAYLOAD:
@@ -267,10 +281,7 @@ def write_gram(path: str, gram: Gram, signal_grid: Grid, stride: int,
     """
     if any(ch in window_label for ch in ";\n\r"):
         raise BadParam(f"window label {window_label!r} may not contain ';' or a line break")
-    if signal_grid != gram.signal_grid or stride != gram.stride:
-        raise GridMismatch("gram was made on another grid or stride")
-    if not same_matrix(m, gram.matrix):
-        raise GridMismatch("gram was produced under a different matrix")
+    check_gram(gram, signal_grid, m, stride)
     head = f"kind=gram; {_grid_header(signal_grid)}; stride={stride}; window={window_label}"
     _write_binary(path, head, gram.matrix, gram.values)
 
@@ -300,10 +311,7 @@ def read_wpoints(path: str, n: int) -> np.ndarray:
     lines = _lines(path)
     if not lines:
         raise ParseError("empty point list", 1)
-    out = np.empty((len(lines), n))
-    for row, (line_no, text) in enumerate(lines):
-        out[row] = _floats(text, line_no, n)
-    return out
+    return _read_rows(lines, len(lines), n, "point list")
 
 
 def write_points(path: str, points: np.ndarray, values: np.ndarray, n: int):

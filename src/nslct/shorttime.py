@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
-from .grids import Grid, Gram, SampledSignal, inner, norm_l2, shift_lattice
-from .symplectic import FreeSymplecticMatrix, same_matrix
+from .grids import Grid, Gram, SampledSignal, check_gram, inner, norm_l2, shift_lattice
+from .symplectic import FreeSymplecticMatrix
 from .transform import _FastPlan
 
 
@@ -90,6 +90,7 @@ def boundedness_margin(
     g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
 ) -> float:
     """Sup-norm slack: (2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| - max |gram|."""
+    check_gram(g, f.grid, m, wspec.stride)
     bound = (
         (2.0 * math.pi) ** (-m.n / 2.0)
         / math.sqrt(abs(m.det_b))
@@ -117,10 +118,7 @@ def stnslct_reconstruct(
     if denominator not in ("pointwise", "constant"):
         raise BadParam(f"unknown denominator mode {denominator!r}")
     grid = wspec.window.grid
-    if g.signal_grid != grid or g.stride != wspec.stride:
-        raise GridMismatch("gram shift lattice does not match the window spec")
-    if not same_matrix(g.matrix, m):
-        raise GridMismatch("gram was produced under a different matrix")
+    check_gram(g, grid, m, wspec.stride)
     ugrid, shifts = _shift_lattice(grid, wspec)
     plan = _FastPlan(grid, m)
 
@@ -143,8 +141,5 @@ def stnslct_reconstruct(
 
 def moyal(g1: Gram, g2: Gram) -> complex:
     """Pairing of two grams over their shared (u, w) lattice and matrix."""
-    if g1.signal_grid != g2.signal_grid or g1.stride != g2.stride:
-        raise GridMismatch("moyal pairing needs grams on one lattice")
-    if not same_matrix(g1.matrix, g2.matrix):
-        raise GridMismatch("moyal pairing needs grams made under one matrix")
+    check_gram(g2, g1.signal_grid, g1.matrix, g1.stride)
     return complex(np.sum(g1.values * np.conj(g2.values)) * g1.cell)

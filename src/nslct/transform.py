@@ -95,14 +95,11 @@ class _FastPlan:
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
         if m.n != grid.n:
             raise GridMismatch("matrix dimension does not match the signal grid")
-        self.grid = grid
-        self.matrix = m
         self.chirp = np.exp(1j * _quad_form_mesh(grid.mesh(), m.b_inva))
         fgrid = frequency_grid(grid)
-        self.wgrid = WarpedGrid(fgrid, m.b)
         omega = fgrid.mesh()
         carrier = sum(omega[j] * grid.origin[j] for j in range(grid.n))
-        qw = _quad_form_mesh(self.wgrid.point_meshes(), m.db_inv)
+        qw = _quad_form_mesh(WarpedGrid(fgrid, m.b).point_meshes(), m.db_inv)
         amp = grid.vol * (2.0 * math.pi) ** (-grid.n / 2.0) / math.sqrt(abs(m.det_b))
         self.post = amp * np.exp(1j * (qw - carrier))
 

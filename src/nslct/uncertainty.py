@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAlpha, BadBox, BadP, GridMismatch, ZeroSignal
-from .grids import Gram, SampledSignal, lp_norm, norm_l2
+from .errors import BadAlpha, BadBox, BadP, ZeroSignal
+from .grids import Gram, SampledSignal, check_gram, lp_norm, norm_l2
 from .shorttime import WindowSpec, stnslct_gram
 from .specialfns import digamma_fn, gamma_fn
-from .symplectic import FreeSymplecticMatrix, same_matrix
+from .symplectic import FreeSymplecticMatrix
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,10 @@ def _off_zero(r: np.ndarray, fn) -> np.ndarray:
 
 
 def _gram_for(f, wspec, m, gram):
-    return gram if gram is not None else stnslct_gram(f, wspec, m)
+    if gram is None:
+        return stnslct_gram(f, wspec, m)
+    check_gram(gram, f.grid, m, wspec.stride)
+    return gram
 
 
 def heisenberg_report(
@@ -99,7 +102,8 @@ def heisenberg_report(
     """Dispersion product against (n sigma_min(B) / 4 pi) ||f||^2 ||phi||.
 
     Passing a precomputed gram skips the tabulation; the report is the
-    same either way.
+    same either way.  A gram made on another grid, at another stride or
+    under another matrix raises GridMismatch, here and in every report.
     """
     g = _gram_for(f, wspec, m, gram)
     nphi = math.sqrt(wspec.norm2)
@@ -245,8 +249,7 @@ def concentration(
 
     An empty box (lo > hi) is allowed and yields the full energy as tail.
     """
-    if not same_matrix(g.matrix, m):
-        raise GridMismatch("gram was produced under a different matrix")
+    check_gram(g, f.grid, m)
     sb = _check_box(s_box, f.grid, "S")
     eb = _check_box(e_box, g.wgrid.base, "E")
 

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam
-from .grids import Grid, SampledSignal, lp_norm, norm_l2, synthesize
+from .grids import Grid, Gram, SampledSignal, lp_norm, norm_l2, synthesize
 from .shorttime import WindowSpec, boundedness_margin, moyal, stnslct_gram
-from .symplectic import fourier, frft, fresnel, random_free_matrix, separable
+from .symplectic import (
+    FreeSymplecticMatrix,
+    fourier,
+    frft,
+    fresnel,
+    random_free_matrix,
+    separable,
+)
 from .transform import nslct_fast
 from .uncertainty import (
     UPReport,
@@ -66,25 +73,19 @@ def _equality(suite: str, rep: UPReport, params: str) -> Record:
                   rep.constant, rep.margin, TOL_EQUALITY, ok)
 
 
+@dataclass(frozen=True, eq=False)
 class _Combo:
-    """One (signal, window, matrix) instance with a lazily cached gram."""
+    """One (signal, window, matrix) instance and its gram."""
 
-    def __init__(self, cid, f, wspec, m):
-        self.cid = cid
-        self.f = f
-        self.wspec = wspec
-        self.m = m
-        self._gram = None
+    params: str
+    f: SampledSignal
+    wspec: WindowSpec
+    m: FreeSymplecticMatrix
+    gram: Gram
 
-    @property
-    def gram(self):
-        if self._gram is None:
-            self._gram = stnslct_gram(self.f, self.wspec, self.m)
-        return self._gram
 
-    @property
-    def params(self) -> str:
-        return f"combo={self.cid};n={self.m.n}"
+def _combo(cid: str, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> _Combo:
+    return _Combo(f"combo={cid};n={m.n}", f, wspec, m, stnslct_gram(f, wspec, m))
 
 
 def _grid1() -> Grid:
@@ -139,13 +140,13 @@ def _combos(seed: int) -> list[_Combo]:
         m, tag = _matrix(i, 1, rng)
         sigma_w = 1.0 if i % 2 == 0 else 1.5
         wspec = WindowSpec(synthesize("gaussian", grid, sigma=sigma_w), stride=4)
-        combos.append(_Combo(f"n1-{i:02d}-{tag}", f, wspec, m))
+        combos.append(_combo(f"n1-{i:02d}-{tag}", f, wspec, m))
     for i in range(4):
         grid = _grid2()
         f = _signal(i, grid, rng)
         m, tag = _matrix(i if i < 3 else 4, 2, rng)
         wspec = WindowSpec(synthesize("gaussian", grid, sigma=1.4), stride=2)
-        combos.append(_Combo(f"n2-{i:02d}-{tag}", f, wspec, m))
+        combos.append(_combo(f"n2-{i:02d}-{tag}", f, wspec, m))
     return combos
 
 

@@ -323,10 +323,26 @@ def test_exit_codes(workdir):
     assert rc == 4
     assert "ZeroSignal" in err
 
-    rc, _, err = run_cli("gram", "--signal", d / "f.txt", "--window", d / "w.txt",
-                         "--matrix", d / "m.txt", "--stride", 3,
+    # usage errors: the stride rule is the library's, the message names the class
+    for stride in (3, 0):
+        rc, _, err = run_cli("gram", "--signal", d / "f.txt", "--window", d / "w.txt",
+                             "--matrix", d / "m.txt", "--stride", stride,
+                             "--out", d / "x.txt")
+        assert rc == 2
+        assert err.startswith("UsageError: ") and "stride" in err
+    assert not (d / "x.txt").exists()
+
+    pts = d / "pts.txt"
+    pts.write_text("0.5\n")
+    rc, _, err = run_cli("transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
+                         "--wpoints", pts, "--out", d / "x.txt")
+    assert rc == 2
+    assert err.startswith("UsageError: --wpoints requires --method direct")
+
+    rc, _, err = run_cli("invert", "--input", d / "f.txt", "--matrix", d / "m.txt",
                          "--out", d / "x.txt")
     assert rc == 2
+    assert err.startswith("UsageError: cannot invert a file of kind 'signal'")
 
     rc, _, _ = run_cli("verify", "--suite", "nonsense")
     assert rc == 2
@@ -375,4 +391,4 @@ def test_missing_window_for_gram_inversion(workdir):
     rc, _, err = run_cli("invert", "--input", d / "V.txt",
                          "--matrix", d / "m.txt", "--out", d / "x.txt")
     assert rc == 2
-    assert "window" in err
+    assert err.startswith("UsageError: gram inversion needs --window")

@@ -8,7 +8,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 @pytest.mark.parametrize("script, args", [
-    ("run_verify.py", ["--suite", "parseval"]),
     ("transform_demo.py", []),
 ])
 def test_script_runs_and_exits_zero(script, args):

@@ -11,6 +11,7 @@ from nslct import (
     SampledSignal,
     WindowSpec,
     ZeroSignal,
+    boundedness_margin,
     concentration,
     dispersion_spatial,
     dispersion_spectral,
@@ -158,6 +159,30 @@ def test_concentration_rejects_foreign_gram(matched):
     other = preset("fresnel", 1, b=2.0)
     with pytest.raises(GridMismatch):
         concentration(f, gram, ((-3.0, 3.0),), ((1.0, -1.0),), other)
+
+
+FOREIGN_GRAM_CALLS = {
+    "heisenberg": lambda f, wspec, m, g: heisenberg_report(f, wspec, m, gram=g),
+    "pitt": lambda f, wspec, m, g: pitt_report(f, wspec, m, 0.5, gram=g),
+    "lieb": lambda f, wspec, m, g: lieb_report(f, wspec, m, 4.0, gram=g),
+    "hausdorff-young": lambda f, wspec, m, g: hausdorff_young_report(f, wspec, m, 1.5, gram=g),
+    "log": lambda f, wspec, m, g: log_report(f, wspec, m, gram=g),
+    "boundedness": lambda f, wspec, m, g: boundedness_margin(g, f, wspec, m),
+}
+
+
+@pytest.mark.parametrize("foreign", ["matrix", "stride"])
+@pytest.mark.parametrize("call", sorted(FOREIGN_GRAM_CALLS))
+def test_reports_reject_foreign_gram(matched, call, foreign):
+    g, f, wspec, m, gram = matched
+    if foreign == "matrix":
+        # fresnel(1) shares Fourier's B block, so only the full matrix tells them apart
+        other = stnslct_gram(f, wspec, preset("fresnel", 1, b=1.0))
+    else:
+        other = stnslct_gram(f, WindowSpec(wspec.window, stride=2), m)
+    with pytest.raises(GridMismatch):
+        FOREIGN_GRAM_CALLS[call](f, wspec, m, other)
+    FOREIGN_GRAM_CALLS[call](f, wspec, m, gram)  # its own gram is accepted
 
 
 def test_reports_on_noise_signal_all_pass():
