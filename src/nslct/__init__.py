@@ -30,6 +30,7 @@ from .grids import (
     inner,
     lp_norm,
     norm_l2,
+    output_lattice,
     synthesize,
 )
 from .shorttime import (
@@ -75,8 +76,8 @@ __all__ = [
     "concentration", "dispersion_spatial", "dispersion_spectral",
     "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
     "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",
-    "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "pitt_constant",
-    "pitt_report", "preset", "random_free_matrix", "run_suite", "same_matrix",
+    "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "output_lattice",
+    "pitt_constant", "pitt_report", "preset", "random_free_matrix", "run_suite", "same_matrix",
     "spectrum_as_signal", "stnslct_gram", "stnslct_reconstruct", "synthesize",
     "validate",
 ]

@@ -16,11 +16,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import io as nio
-from .errors import BadParam, CoverageError, NSLCTError, ZeroSignal
-from .grids import SampledSignal, Spectrum, WarpedGrid, frequency_grid, norm_l2
+from .errors import BadParam, CoverageError, GridMismatch, NSLCTError, ZeroSignal
+from .grids import SampledSignal, Spectrum, norm_l2, output_lattice
 from .shorttime import WindowSpec, stnslct_gram, stnslct_reconstruct
 from .transform import nslct_direct, nslct_fast, nslct_inverse
 from .verify import SUITE_NAMES, run_suite
@@ -47,8 +45,7 @@ def _cmd_transform(args) -> int:
         nio.write_points(args.out, pts, vals, m.n)
         return 0
     # direct quadrature over the full warped lattice, same file shape as fast
-    wgrid = WarpedGrid(frequency_grid(sig.grid), m.b)
-    pts = np.stack([ax.ravel() for ax in wgrid.point_meshes()], axis=-1)
+    pts = output_lattice(sig.grid, m).flat_points()
     vals = nslct_direct(sig, m, pts).reshape(sig.grid.counts)
     nio.write_spectrum(args.out, Spectrum(m, vals, sig.grid))
     return 0
@@ -86,6 +83,8 @@ def _cmd_invert(args) -> int:
     nio.write_signal(args.out, rec)
     if args.reference:
         ref = nio.read_signal(args.reference)
+        if ref.grid != rec.grid:
+            raise GridMismatch("reference signal is on another grid")
         num = norm_l2(SampledSignal(rec.grid, rec.values - ref.values))
         den = norm_l2(ref)
         print(f"relative_l2_residual={num / den:.6e}")

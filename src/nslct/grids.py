@@ -108,6 +108,11 @@ class SampledSignal:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @property
+    def cell(self) -> float:
+        """Volume of one sample cell."""
+        return self.grid.vol
+
 
 @dataclass(frozen=True, eq=False)
 class WarpedGrid:
@@ -127,13 +132,6 @@ class WarpedGrid:
         w.setflags(write=False)
         object.__setattr__(self, "warp", w)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WarpedGrid)
-            and self.base == other.base
-            and np.array_equal(self.warp, other.warp)
-        )
-
     @property
     def det_warp(self) -> float:
         return _det(self.warp)
@@ -149,6 +147,32 @@ class WarpedGrid:
         n = self.base.n
         return [sum(self.warp[i, j] * base[j] for j in range(n)) for i in range(n)]
 
+    def flat_points(self) -> np.ndarray:
+        """All lattice points, row-major, as a (size, n) array."""
+        return np.stack([m.ravel() for m in self.point_meshes()], axis=-1)
+
+
+def output_lattice(grid: Grid, m: FreeSymplecticMatrix) -> WarpedGrid:
+    """The lattice w = B omega that the transform of a signal on grid under
+    m lives on, omega running over the grid's FFT frequencies."""
+    check_dimension(grid, m)
+    return WarpedGrid(frequency_grid(grid), m.b)
+
+
+def check_dimension(grid: Grid, m: FreeSymplecticMatrix):
+    """Raise GridMismatch unless m acts on the grid's dimension."""
+    if m.n != grid.n:
+        raise GridMismatch("matrix dimension does not match the signal grid")
+
+
+def _freeze_values(obj, shape: tuple[int, ...], what: str):
+    """Store obj.values as a read-only contiguous complex128 array of shape."""
+    vals = np.ascontiguousarray(np.asarray(obj.values, dtype=np.complex128))
+    if vals.shape != shape:
+        raise GridMismatch(f"{what} values must have shape {shape}")
+    vals.setflags(write=False)
+    object.__setattr__(obj, "values", vals)
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -156,7 +180,8 @@ class Spectrum:
 
     Carries the matrix it was made under, so an inverse can refuse another
     one, and the source grid, so the chirp-FFT-chirp pipeline can be undone
-    without guessing the original origin.  The lattice follows from both.
+    without guessing the original origin.  The lattice follows from both; it
+    is built, and the two checked against each other, on first use.
     """
 
     matrix: FreeSymplecticMatrix
@@ -164,17 +189,16 @@ class Spectrum:
     signal_grid: Grid
 
     def __post_init__(self):
-        if self.matrix.n != self.signal_grid.n:
-            raise GridMismatch("matrix dimension does not match the signal grid")
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if vals.shape != self.signal_grid.counts:
-            raise GridMismatch("spectrum values must be shaped like the base lattice")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze_values(self, self.signal_grid.counts, "spectrum")
 
     @cached_property
     def wgrid(self) -> WarpedGrid:
-        return WarpedGrid(frequency_grid(self.signal_grid), self.matrix.b)
+        return output_lattice(self.signal_grid, self.matrix)
+
+    @property
+    def cell(self) -> float:
+        """Volume represented by one lattice point."""
+        return self.wgrid.cell
 
 
 def shift_lattice(grid: Grid, stride: int) -> Grid:
@@ -203,20 +227,13 @@ class Gram:
     ugrid: Grid = field(init=False)
 
     def __post_init__(self):
-        if self.matrix.n != self.signal_grid.n:
-            raise GridMismatch("matrix dimension does not match the signal grid")
         ugrid = shift_lattice(self.signal_grid, self.stride)
         object.__setattr__(self, "ugrid", ugrid)
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        want = ugrid.counts + self.signal_grid.counts
-        if vals.shape != want:
-            raise GridMismatch(f"gram values must have shape {want}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze_values(self, ugrid.counts + self.signal_grid.counts, "gram")
 
     @cached_property
     def wgrid(self) -> WarpedGrid:
-        return WarpedGrid(frequency_grid(self.signal_grid), self.matrix.b)
+        return output_lattice(self.signal_grid, self.matrix)
 
     @property
     def cell(self) -> float:
@@ -258,16 +275,6 @@ def norm_l2(f: SampledSignal) -> float:
     return math.sqrt(max(inner(f, f).real, 0.0))
 
 
-def _cell_of(obj) -> float:
-    if isinstance(obj, SampledSignal):
-        return obj.grid.vol
-    if isinstance(obj, Spectrum):
-        return obj.wgrid.cell
-    if isinstance(obj, Gram):
-        return obj.cell
-    raise BadParam(f"lp_norm does not handle {type(obj).__name__}")
-
-
 def lp_norm(obj, p: float) -> float:
     """Discrete L^p norm of a signal, spectrum or gram (p = inf for the sup)."""
     mags = np.abs(obj.values)
@@ -275,7 +282,7 @@ def lp_norm(obj, p: float) -> float:
         return float(np.max(mags)) if mags.size else 0.0
     if not (p >= 1.0):
         raise BadParam(f"p = {p} is outside [1, inf]")
-    return float((_cell_of(obj) * np.sum(mags**p)) ** (1.0 / p))
+    return float((obj.cell * np.sum(mags**p)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

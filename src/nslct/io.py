@@ -130,6 +130,8 @@ def read_matrix(path: str) -> FreeSymplecticMatrix:
                 params[key] = float(_floats(fields[key], last_line, 1)[0])
         if "b" in fields and kind.lower() == "fresnel":
             vals = _floats(fields["b"], last_line)
+            if vals.size not in (1, n * n):
+                raise ParseError(f"b needs 1 or {n * n} numbers, got {vals.size}", last_line)
             params["b"] = float(vals[0]) if vals.size == 1 else vals.reshape(n, n)
         if kind.lower() == "separable":
             for key in ("a", "b", "c", "d"):
@@ -190,6 +192,9 @@ def _read_rows(lines, expected: int, columns: int, path_kind: str) -> np.ndarray
     out = np.empty((expected, columns))
     for row, (line_no, text) in enumerate(lines):
         out[row] = _floats(text, line_no, columns)
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        raise ParseError(f"{path_kind} holds a non-finite number", lines[bad[0]][0])
     return out
 
 
@@ -209,10 +214,7 @@ def read_signal(path: str) -> SampledSignal:
         raise ParseError("not a signal file (kind=signal missing)", head_no)
     grid = _grid_from(fields, head_no)
     table = _read_rows(lines[1:], grid.size, 2, "signal")
-    values = _complex_col(table[:, 0], table[:, 1]).reshape(grid.counts)
-    if not np.all(np.isfinite(values)):
-        raise ParseError("signal contains non-finite samples", head_no)
-    return SampledSignal(grid, values)
+    return SampledSignal(grid, _complex_col(table[:, 0], table[:, 1]).reshape(grid.counts))
 
 
 def _write_binary(path: str, head: str, m: FreeSymplecticMatrix, values: np.ndarray):
@@ -259,7 +261,10 @@ def _values(payload: bytes, shape: tuple[int, ...], kind: str) -> np.ndarray:
     want = int(np.prod(shape)) * np.dtype(PAYLOAD).itemsize
     if len(payload) != want:
         raise ParseError(f"{kind} payload holds {len(payload)} bytes, expected {want}")
-    return np.frombuffer(payload, dtype=PAYLOAD).reshape(shape)
+    values = np.frombuffer(payload, dtype=PAYLOAD).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{kind} payload holds non-finite values")
+    return values
 
 
 def write_spectrum(path: str, spec: Spectrum):
@@ -286,7 +291,8 @@ def write_gram(path: str, gram: Gram, signal_grid: Grid, stride: int,
     _write_binary(path, head, gram.matrix, gram.values)
 
 
-def read_gram(path: str) -> tuple[Gram, dict]:
+def read_gram(path: str) -> tuple[Gram, str]:
+    """The gram in a file and the label of the window it was made with."""
     fields, grid, m, payload = _read_binary(path, "gram")
     stride = _int(fields, "stride", 1)
     try:
@@ -294,13 +300,7 @@ def read_gram(path: str) -> tuple[Gram, dict]:
     except NSLCTError as exc:
         raise ParseError(str(exc), 1) from None
     gram = Gram(m, grid, stride, _values(payload, ugrid.counts + grid.counts, "gram"))
-    meta = {
-        "grid": grid,
-        "stride": stride,
-        "matrix": m.as_matrix(),
-        "window": fields.get("window", ""),
-    }
-    return gram, meta
+    return gram, fields.get("window", "")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import GridMismatch
-from .grids import Grid, SampledSignal, Spectrum, WarpedGrid, frequency_grid
+from .grids import Grid, SampledSignal, Spectrum, check_dimension, output_lattice
 from .symplectic import FreeSymplecticMatrix, same_matrix
 
 
@@ -71,8 +71,7 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     This is the oracle the fast path is checked against; it is O(#w * #grid)
     and makes no use of the FFT.
     """
-    if m.n != f.grid.n:
-        raise GridMismatch("matrix dimension does not match the signal grid")
+    check_dimension(f.grid, m)
     pts = _points(wpoints, m.n).reshape(-1, m.n)
     x = f.grid.flat_points()
     fv = f.values.ravel()
@@ -93,13 +92,11 @@ class _FastPlan:
     """
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
-        if m.n != grid.n:
-            raise GridMismatch("matrix dimension does not match the signal grid")
+        lattice = output_lattice(grid, m)
         self.chirp = np.exp(1j * _quad_form_mesh(grid.mesh(), m.b_inva))
-        fgrid = frequency_grid(grid)
-        omega = fgrid.mesh()
+        omega = lattice.base.mesh()
         carrier = sum(omega[j] * grid.origin[j] for j in range(grid.n))
-        qw = _quad_form_mesh(WarpedGrid(fgrid, m.b).point_meshes(), m.db_inv)
+        qw = _quad_form_mesh(lattice.point_meshes(), m.db_inv)
         amp = grid.vol * (2.0 * math.pi) ** (-grid.n / 2.0) / math.sqrt(abs(m.det_b))
         self.post = amp * np.exp(1j * (qw - carrier))
 
@@ -134,13 +131,12 @@ def spectrum_as_signal(spec: Spectrum) -> SampledSignal:
     grid; anything else raises GridMismatch.  This is the bridge that lets
     transforms be chained.
     """
-    warp = spec.wgrid.warp
-    n = spec.wgrid.base.n
+    base, warp = spec.wgrid.base, spec.wgrid.warp
+    n = base.n
     off = np.max(np.abs(warp - np.diag(np.diag(warp)))) if n > 1 else 0.0
     diag = np.diag(warp)
     if off > 1e-12 * (1.0 + float(np.max(np.abs(warp)))) or np.any(diag <= 0.0):
         raise GridMismatch("warped lattice is uniform only for positive diagonal B")
-    base = spec.wgrid.base
     grid = Grid(
         base.counts,
         tuple(float(diag[j]) * base.spacing[j] for j in range(n)),

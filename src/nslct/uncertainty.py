@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
 from .grids import Gram, SampledSignal, check_gram, lp_norm, norm_l2
-from .shorttime import WindowSpec, stnslct_gram
+from .shorttime import WindowSpec
 from .specialfns import digamma_fn, gamma_fn
 from .symplectic import FreeSymplecticMatrix
 
@@ -86,28 +86,22 @@ def _off_zero(r: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _gram_for(f, wspec, m, gram):
-    if gram is None:
-        return stnslct_gram(f, wspec, m)
-    check_gram(gram, f.grid, m, wspec.stride)
-    return gram
-
-
 def heisenberg_report(
     f: SampledSignal,
     wspec: WindowSpec,
     m: FreeSymplecticMatrix,
-    gram: Gram | None = None,
+    gram: Gram,
 ) -> UPReport:
     """Dispersion product against (n sigma_min(B) / 4 pi) ||f||^2 ||phi||.
 
-    Passing a precomputed gram skips the tabulation; the report is the
-    same either way.  A gram made on another grid, at another stride or
-    under another matrix raises GridMismatch, here and in every report.
+    The gram is stnslct_gram(f, wspec, m); one made on another grid, at
+    another stride or under another matrix raises GridMismatch, here and in
+    every report.
     """
-    g = _gram_for(f, wspec, m, gram)
+    check_gram(gram, f.grid, m, wspec.stride)
     nphi = math.sqrt(wspec.norm2)
-    lhs = math.sqrt(dispersion_spectral(g)) * math.sqrt(dispersion_spatial(f) * wspec.norm2) / nphi
+    lhs = (math.sqrt(dispersion_spectral(gram))
+           * math.sqrt(dispersion_spatial(f) * wspec.norm2) / nphi)
     constant = m.n * m.sigma_min_b / (4.0 * math.pi)
     rhs = constant * norm_l2(f) ** 2 * nphi
     return UPReport("heisenberg", lhs, rhs, constant, lhs - rhs)
@@ -122,21 +116,21 @@ def pitt_report(
     wspec: WindowSpec,
     m: FreeSymplecticMatrix,
     alpha: float,
-    gram: Gram | None = None,
+    gram: Gram,
 ) -> UPReport:
     """Weighted-energy bound: |w|^(-a) gram energy vs the |x|^a moment of f."""
     alpha = float(alpha)
     if not (0.0 <= alpha < m.n):
         raise BadAlpha(f"alpha = {alpha} is outside [0, {m.n})")
-    g = _gram_for(f, wspec, m, gram)
+    check_gram(gram, f.grid, m, wspec.stride)
     _require_nonzero(f)
 
-    wnorm = _radius(g.wgrid.point_meshes())
+    wnorm = _radius(gram.wgrid.point_meshes())
     if alpha == 0.0:
         weight = np.ones_like(wnorm)
     else:
         weight = _off_zero(wnorm, lambda r: r ** (-alpha))
-    lhs = float(g.cell * np.sum(np.abs(g.values) ** 2 * weight))
+    lhs = float(gram.cell * np.sum(np.abs(gram.values) ** 2 * weight))
 
     xnorm = _radius(f.grid.mesh())
     moment = float(f.grid.vol * np.sum(xnorm**alpha * np.abs(f.values) ** 2))
@@ -150,7 +144,7 @@ def lieb_report(
     wspec: WindowSpec,
     m: FreeSymplecticMatrix,
     p: float,
-    gram: Gram | None = None,
+    gram: Gram,
 ) -> UPReport:
     """p-th power gram integral vs (2/p) |det B|^(1 - p/2), unit-normalized.
 
@@ -163,8 +157,8 @@ def lieb_report(
     if p < 2.0:
         raise BadP(f"p = {p} must be >= 2")
     nf = _require_nonzero(f)
-    g = _gram_for(f, wspec, m, gram)
-    raw = float(g.cell * np.sum(np.abs(g.values) ** p))
+    check_gram(gram, f.grid, m, wspec.stride)
+    raw = float(gram.cell * np.sum(np.abs(gram.values) ** p))
     lhs = raw / (nf * math.sqrt(wspec.norm2)) ** p
     constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
     return UPReport(
@@ -178,15 +172,15 @@ def hausdorff_young_report(
     wspec: WindowSpec,
     m: FreeSymplecticMatrix,
     p: float,
-    gram: Gram | None = None,
+    gram: Gram,
 ) -> UPReport:
     """||gram||_q against ||phi||_q ||f||_p for conjugate exponents."""
     p = float(p)
     if not (1.0 <= p <= 2.0):
         raise BadP(f"p = {p} must sit in [1, 2]")
     q = math.inf if p == 1.0 else p / (p - 1.0)
-    g = _gram_for(f, wspec, m, gram)
-    lhs = lp_norm(g, q)
+    check_gram(gram, f.grid, m, wspec.stride)
+    lhs = lp_norm(gram, q)
     rhs = lp_norm(wspec.window, q) * lp_norm(f, p)
     return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs, (("p", p), ("q", q)))
 
@@ -195,7 +189,7 @@ def log_report(
     f: SampledSignal,
     wspec: WindowSpec,
     m: FreeSymplecticMatrix,
-    gram: Gram | None = None,
+    gram: Gram,
 ) -> UPReport:
     """Logarithmic-moment inequality with constant psi(n/2) - ln pi.
 
@@ -204,10 +198,10 @@ def log_report(
     weights are dropped.
     """
     nf = _require_nonzero(f)
-    g = _gram_for(f, wspec, m, gram)
+    check_gram(gram, f.grid, m, wspec.stride)
 
-    wlog = _off_zero(_radius(g.wgrid.base.mesh()), np.log)
-    wterm = float(g.cell * np.sum(np.abs(g.values) ** 2 * wlog))
+    wlog = _off_zero(_radius(gram.wgrid.base.mesh()), np.log)
+    wterm = float(gram.cell * np.sum(np.abs(gram.values) ** 2 * wlog))
 
     xlog = _off_zero(_radius(f.grid.mesh()), np.log)
     xterm = float(f.grid.vol * np.sum(xlog * np.abs(f.values) ** 2))

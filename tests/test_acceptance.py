@@ -72,7 +72,7 @@ def test_01_oracle_equivalence():
         for m in matrices:
             for f in signals:
                 spec = nslct_fast(f, m)
-                pts = np.stack([ax.ravel() for ax in spec.wgrid.point_meshes()], axis=-1)
+                pts = spec.wgrid.flat_points()
                 vals = spec.values.ravel()
                 if n == 2:
                     keep = rng.choice(pts.shape[0], size=512, replace=False)
@@ -164,7 +164,7 @@ def test_07_composition():
         outer = random_free_matrix(rng, 1)
         chained = nslct_fast(spectrum_as_signal(nslct_fast(f, inner_m)), outer)
         combined = compose(outer, inner_m)
-        pts = np.stack([ax.ravel() for ax in chained.wgrid.point_meshes()], axis=-1)
+        pts = chained.wgrid.flat_points()
         want = nslct_direct(f, combined, pts)
         got = align_phase(chained.values.ravel(), want)
         err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -197,7 +197,7 @@ def test_09_heisenberg_spot_check():
     m = preset("fourier", 1)
     from nslct import heisenberg_report
 
-    rep = heisenberg_report(f, wspec, m)
+    rep = heisenberg_report(f, wspec, m, gram=stnslct_gram(f, wspec, m))
     nphi = math.sqrt(wspec.norm2)
     rhs_exact = nphi / (4.0 * math.pi)
     # independent oracle: direct quadrature of every shifted-window row

@@ -13,6 +13,9 @@ from nslct import (
     inner,
     lp_norm,
     norm_l2,
+    nslct_fast,
+    output_lattice,
+    preset,
     synthesize,
 )
 
@@ -47,6 +50,24 @@ def test_mesh_and_flat_points_agree():
     assert pts.shape == (64, 2)
     assert np.array_equal(pts[:, 0], mx.ravel())
     assert np.array_equal(pts[:, 1], my.ravel())
+
+
+def test_output_lattice_is_b_over_the_frequency_grid_and_built_lazily():
+    g = grid2(8, 0.5)
+    m = preset("fresnel", 2, b=np.array([[1.5, 0.3], [0.3, 1.1]]))
+    lat = output_lattice(g, m)
+    assert lat.base == frequency_grid(g)
+    assert np.array_equal(lat.warp, m.b)
+    pts = lat.flat_points()
+    assert pts.shape == (64, 2)
+    for j, ax in enumerate(lat.point_meshes()):
+        assert np.array_equal(pts[:, j], ax.ravel())
+    spec = nslct_fast(synthesize("gaussian", g), m)
+    assert "wgrid" not in vars(spec)  # the spectrum builds its lattice on first use
+    assert spec.cell == lat.cell
+    assert "wgrid" in vars(spec)
+    with pytest.raises(GridMismatch, match="dimension"):
+        output_lattice(grid1(), m)
 
 
 def test_frequency_grid_covers_nyquist_band():

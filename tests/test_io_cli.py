@@ -82,27 +82,34 @@ def test_gram_round_trip_bit_exact(tmp_path):
     gram = stnslct_gram(f, wspec, m)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     nio.write_gram(p1, gram, g, 8, m, "w")
-    back, meta = nio.read_gram(p1)
+    back, label = nio.read_gram(p1)
     assert np.array_equal(back.values, gram.values)
-    assert meta["stride"] == 8
-    assert np.array_equal(meta["matrix"], m.as_matrix())
-    nio.write_gram(p2, back, meta["grid"], meta["stride"], m, meta["window"])
+    assert back.stride == 8
+    assert np.array_equal(back.matrix.as_matrix(), m.as_matrix())
+    assert label == "w"
+    nio.write_gram(p2, back, back.signal_grid, back.stride, back.matrix, label)
     assert read_bytes(p1) == read_bytes(p2)
 
 
-@pytest.mark.parametrize("kind", ["spectrum", "gram"])
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_payload_off_by_one_byte_is_refused(workdir, kind, delta):
+def write_binary(workdir, kind):
+    """A spectrum or gram file of the workdir signal, its reader and the
+    extra `invert` options it needs."""
     d, g, f, w = workdir
     m = preset("frft", 1, alpha=0.7)
     path = d / f"{kind}.bin"
     if kind == "spectrum":
         nio.write_spectrum(path, nslct_fast(f, m))
-        read, extra = nio.read_spectrum, []
-    else:
-        wspec = WindowSpec(w, stride=4)
-        nio.write_gram(path, stnslct_gram(f, wspec, m), g, 4, m, "w.txt")
-        read, extra = nio.read_gram, ["--window", d / "w.txt"]
+        return path, nio.read_spectrum, []
+    wspec = WindowSpec(w, stride=4)
+    nio.write_gram(path, stnslct_gram(f, wspec, m), g, 4, m, "w.txt")
+    return path, nio.read_gram, ["--window", d / "w.txt"]
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "gram"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_payload_off_by_one_byte_is_refused(workdir, kind, delta):
+    d = workdir[0]
+    path, read, extra = write_binary(workdir, kind)
     data = read_bytes(path)
     path.write_bytes(data[:-1] if delta < 0 else data + b"\0")
     with pytest.raises(nio.ParseError, match="payload"):
@@ -111,6 +118,23 @@ def test_payload_off_by_one_byte_is_refused(workdir, kind, delta):
                          *extra, "--out", d / "x.txt")
     assert rc == 2
     assert err.startswith("ParseError")
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "gram"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_is_refused(workdir, kind, bad):
+    d = workdir[0]
+    path, read, extra = write_binary(workdir, kind)
+    data = read_bytes(path)
+    start = data.index(b"\n") + 1 + 5 * 16  # the sixth value
+    path.write_bytes(data[:start] + np.array([bad], dtype="<c16").tobytes() + data[start + 16:])
+    with pytest.raises(nio.ParseError, match="non-finite"):
+        read(path)
+    rc, _, err = run_cli("invert", "--input", path, "--matrix", d / "m.txt",
+                         *extra, "--out", d / "x.txt")
+    assert rc == 2
+    assert err.startswith("ParseError")
+    assert not (d / "x.txt").exists()
 
 
 def test_text_era_gram_is_refused(tmp_path):
@@ -212,6 +236,12 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(nio.ParseError) as exc:
         nio.read_signal(sig)
     assert exc.value.line == 3
+    # a non-finite sample is refused at its own line
+    sig.write_text("kind=signal; n=1; counts=8; spacing=0.1; origin=-0.4\n"
+                   + "0,0\n" * 5 + "0,nan\n" + "0,0\n" * 2)
+    with pytest.raises(nio.ParseError, match="non-finite") as exc:
+        nio.read_signal(sig)
+    assert exc.value.line == 7
 
 
 def test_signal_row_count_enforced(tmp_path):
@@ -282,6 +312,37 @@ def test_direct_with_explicit_points(workdir):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_direct_refuses_non_finite_points(workdir, bad):
+    d, g, f, w = workdir
+    pts = d / "pts.txt"
+    pts.write_text(f"0.0\n# a comment\n{bad}\n0.5\n")
+    with pytest.raises(nio.ParseError, match="line 3"):
+        nio.read_wpoints(pts, 1)
+    rc, _, err = run_cli(
+        "transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
+        "--method", "direct", "--wpoints", pts, "--out", d / "vals.txt",
+    )
+    assert rc == 2
+    assert err.startswith("ParseError: line 3")
+    assert not (d / "vals.txt").exists()
+
+
+@pytest.mark.parametrize("counts,spacing", [(512, 0.1), (256, 0.2)])
+def test_invert_refuses_a_reference_on_another_grid(workdir, counts, spacing):
+    d, g, f, w = workdir
+    ref = d / "ref.txt"
+    nio.write_signal(ref, gaussian_1d(grid1(counts, spacing)))
+    rc, _, err = run_cli("transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
+                         "--out", d / "F.bin")
+    assert rc == 0, err
+    rc, out, err = run_cli("invert", "--input", d / "F.bin", "--matrix", d / "m.txt",
+                           "--reference", ref, "--out", d / "back.txt")
+    assert rc == 3
+    assert err.startswith("GridMismatch")
+    assert "residual" not in out
+
+
 def test_gram_then_invert_round_trip(workdir):
     d, g, f, w = workdir
     rc, _, err = run_cli(
@@ -306,6 +367,14 @@ def test_exit_codes(workdir):
                          "--matrix", bad, "--out", d / "x.txt")
     assert rc == 2
     assert "ParseError" in err and "line 1" in err
+
+    # a fresnel b that is neither a scalar nor n x n
+    fres = d / "fres.txt"
+    fres.write_text("n=2; preset=fresnel; b=1,2,3\n")
+    rc, _, err = run_cli("transform", "--signal", d / "f.txt",
+                         "--matrix", fres, "--out", d / "x.txt")
+    assert rc == 2
+    assert err.startswith("ParseError: line 1")
 
     sing = d / "sing.txt"
     sing.write_text("n=1; preset=frft; alpha=0.0\n")

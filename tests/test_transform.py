@@ -23,7 +23,7 @@ from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err
 
 
 def lattice_points(spec):
-    return np.stack([ax.ravel() for ax in spec.wgrid.point_meshes()], axis=-1)
+    return spec.wgrid.flat_points()
 
 
 def test_kernel_value_at_origin_fourier():
