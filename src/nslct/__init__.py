@@ -13,7 +13,6 @@ from .errors import (
     BadParam,
     CoverageError,
     DimensionError,
-    DomainError,
     GridMismatch,
     NSLCTError,
     SingularB,
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadAlpha", "BadBox", "BadP", "BadParam", "ConcentrationSets",
-    "CoverageError", "DimensionError", "DomainError", "FreeSymplecticMatrix",
+    "CoverageError", "DimensionError", "FreeSymplecticMatrix",
     "Gram", "Grid", "GridMismatch", "NSLCTError", "Record", "SampledSignal",
     "SingularB", "Spectrum", "SUITE_NAMES", "SymplecticViolation", "UPReport",
     "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin", "compose",

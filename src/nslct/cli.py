@@ -85,8 +85,10 @@ def _cmd_invert(args) -> int:
         ref = nio.read_signal(args.reference)
         if ref.grid != rec.grid:
             raise GridMismatch("reference signal is on another grid")
-        num = norm_l2(SampledSignal(rec.grid, rec.values - ref.values))
         den = norm_l2(ref)
+        if den == 0.0:
+            raise ZeroSignal("reference signal has zero energy")
+        num = norm_l2(SampledSignal(rec.grid, rec.values - ref.values))
         print(f"relative_l2_residual={num / den:.6e}")
     return 0
 

@@ -48,7 +48,3 @@ class BadP(NSLCTError):
 
 class BadBox(NSLCTError):
     """Concentration box is malformed or exceeds the grid extent."""
-
-
-class DomainError(NSLCTError):
-    """Special-function argument outside the supported domain."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BadParam, NSLCTError
 from .grids import Grid, Gram, SampledSignal, Spectrum, check_gram, shift_lattice
-from .symplectic import FreeSymplecticMatrix, preset, validate
+from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, preset, validate
 
 # dtype of spectrum and gram payloads, on every host
 PAYLOAD = "<c16"
@@ -123,21 +123,19 @@ def read_matrix(path: str) -> FreeSymplecticMatrix:
         fields.update(_parse_pairs(text, line_no))
     n = _int(fields, "n", last_line)
     if "preset" in fields:
-        kind = fields.pop("preset")
+        kind = fields.pop("preset").lower()
         params = {}
-        for key in ("alpha",):
-            if key in fields:
-                params[key] = float(_floats(fields[key], last_line, 1)[0])
-        if "b" in fields and kind.lower() == "fresnel":
-            vals = _floats(fields["b"], last_line)
+        for key in PRESET_FIELDS.get(kind, ()):  # an unknown kind is preset's to refuse
+            if key not in fields:
+                raise ParseError(f"{kind} needs field {key!r}", last_line)
+            params[key] = _floats(fields[key], last_line, 1 if key == "alpha" else None)
+        if kind == "frft":
+            params["alpha"] = float(params["alpha"][0])
+        if kind == "fresnel":
+            vals = params["b"]
             if vals.size not in (1, n * n):
                 raise ParseError(f"b needs 1 or {n * n} numbers, got {vals.size}", last_line)
             params["b"] = float(vals[0]) if vals.size == 1 else vals.reshape(n, n)
-        if kind.lower() == "separable":
-            for key in ("a", "b", "c", "d"):
-                if key not in fields:
-                    raise ParseError(f"separable needs field {key!r}", last_line)
-                params[key] = _floats(fields[key], last_line)
         return preset(kind, n, **params)
     blocks = []
     for key in ("a", "b", "c", "d"):

@@ -186,24 +186,30 @@ def separable(a, b, c, d) -> FreeSymplecticMatrix:
     return validate(*(np.diag(col) for col in cols))
 
 
-_PRESETS = ("fourier", "frft", "fresnel", "separable")
+# the parameters each named family needs; matrix files use the same names
+PRESET_FIELDS = {
+    "fourier": (),
+    "frft": ("alpha",),
+    "fresnel": ("b",),
+    "separable": ("a", "b", "c", "d"),
+}
 
 
 def preset(kind: str, n: int = 1, **params) -> FreeSymplecticMatrix:
     """Dispatch to one of the named families by string."""
     kind = kind.lower()
-    try:
-        if kind == "fourier":
-            return fourier(n)
-        if kind == "frft":
-            return frft(float(params["alpha"]), n)
-        if kind == "fresnel":
-            return fresnel(params["b"], n)
-        if kind == "separable":
-            return separable(params["a"], params["b"], params["c"], params["d"])
-    except KeyError as exc:
-        raise BadParam(f"preset {kind!r} is missing parameter {exc.args[0]!r}") from None
-    raise BadParam(f"unknown preset {kind!r} (choose from {', '.join(_PRESETS)})")
+    if kind not in PRESET_FIELDS:
+        raise BadParam(f"unknown preset {kind!r} (choose from {', '.join(PRESET_FIELDS)})")
+    for key in PRESET_FIELDS[kind]:
+        if key not in params:
+            raise BadParam(f"preset {kind!r} is missing parameter {key!r}")
+    if kind == "fourier":
+        return fourier(n)
+    if kind == "frft":
+        return frft(float(params["alpha"]), n)
+    if kind == "fresnel":
+        return fresnel(params["b"], n)
+    return separable(params["a"], params["b"], params["c"], params["d"])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
 from .grids import Gram, SampledSignal, check_gram, lp_norm, norm_l2
 from .shorttime import WindowSpec
-from .specialfns import digamma_fn, gamma_fn
 from .symplectic import FreeSymplecticMatrix
 
 
@@ -60,17 +59,20 @@ def _require_nonzero(f: SampledSignal) -> float:
     return nf
 
 
+def _energy(obj, weight=1.0) -> float:
+    """Weighted energy cell * sum |values|^2 * weight of a signal or gram."""
+    return float(obj.cell * np.sum(np.abs(obj.values) ** 2 * weight))
+
+
 def dispersion_spatial(f: SampledSignal) -> float:
     """Second moment vol * sum |x|^2 |f|^2 about the coordinate origin."""
     _require_nonzero(f)
-    r2 = sum(m * m for m in f.grid.mesh())
-    return float(f.grid.vol * np.sum(r2 * np.abs(f.values) ** 2))
+    return _energy(f, sum(m * m for m in f.grid.mesh()))
 
 
 def dispersion_spectral(g: Gram) -> float:
     """Second moment of the gram, sum |w|^2 |V|^2 over (u, w) cells."""
-    w2 = sum(m * m for m in g.wgrid.point_meshes())
-    return float(g.cell * np.sum(np.abs(g.values) ** 2 * w2))
+    return _energy(g, sum(m * m for m in g.wgrid.point_meshes()))
 
 
 def _radius(meshes) -> np.ndarray:
@@ -108,7 +110,15 @@ def heisenberg_report(
 
 
 def pitt_constant(n: int, alpha: float) -> float:
-    return math.pi**alpha * (gamma_fn((n - alpha) / 4.0) / gamma_fn((n + alpha) / 4.0)) ** 2
+    """Pitt constant pi^a (Gamma((n - a)/4) / Gamma((n + a)/4))^2.
+
+    Gamma is finite well past the domain, so a outside [0, n) raises BadAlpha
+    here rather than returning a value.
+    """
+    alpha = float(alpha)
+    if not (0.0 <= alpha < n):
+        raise BadAlpha(f"alpha = {alpha} is outside [0, {n})")
+    return math.pi**alpha * (math.gamma((n - alpha) / 4.0) / math.gamma((n + alpha) / 4.0)) ** 2
 
 
 def pitt_report(
@@ -120,21 +130,15 @@ def pitt_report(
 ) -> UPReport:
     """Weighted-energy bound: |w|^(-a) gram energy vs the |x|^a moment of f."""
     alpha = float(alpha)
-    if not (0.0 <= alpha < m.n):
-        raise BadAlpha(f"alpha = {alpha} is outside [0, {m.n})")
+    constant = pitt_constant(m.n, alpha)
     check_gram(gram, f.grid, m, wspec.stride)
     _require_nonzero(f)
 
-    wnorm = _radius(gram.wgrid.point_meshes())
-    if alpha == 0.0:
-        weight = np.ones_like(wnorm)
-    else:
-        weight = _off_zero(wnorm, lambda r: r ** (-alpha))
-    lhs = float(gram.cell * np.sum(np.abs(gram.values) ** 2 * weight))
-
-    xnorm = _radius(f.grid.mesh())
-    moment = float(f.grid.vol * np.sum(xnorm**alpha * np.abs(f.values) ** 2))
-    constant = pitt_constant(m.n, alpha)
+    weight = 1.0
+    if alpha > 0.0:
+        weight = _off_zero(_radius(gram.wgrid.point_meshes()), lambda r: r ** (-alpha))
+    lhs = _energy(gram, weight)
+    moment = _energy(f, _radius(f.grid.mesh()) ** alpha)
     rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
     return UPReport("pitt", lhs, rhs, constant, rhs - lhs, (("alpha", alpha),))
 
@@ -154,8 +158,8 @@ def lieb_report(
     matrices whose A block is singular; the report notes it in inputs.
     """
     p = float(p)
-    if p < 2.0:
-        raise BadP(f"p = {p} must be >= 2")
+    if not (2.0 <= p < math.inf):
+        raise BadP(f"p = {p} must be finite and >= 2")
     nf = _require_nonzero(f)
     check_gram(gram, f.grid, m, wspec.stride)
     raw = float(gram.cell * np.sum(np.abs(gram.values) ** p))
@@ -185,6 +189,10 @@ def hausdorff_young_report(
     return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs, (("p", p), ("q", q)))
 
 
+# psi(n/2) in closed form for the two supported dimensions
+_DIGAMMA_HALF_N = {1: -np.euler_gamma - 2.0 * math.log(2.0), 2: -np.euler_gamma}
+
+
 def log_report(
     f: SampledSignal,
     wspec: WindowSpec,
@@ -200,14 +208,10 @@ def log_report(
     nf = _require_nonzero(f)
     check_gram(gram, f.grid, m, wspec.stride)
 
-    wlog = _off_zero(_radius(gram.wgrid.base.mesh()), np.log)
-    wterm = float(gram.cell * np.sum(np.abs(gram.values) ** 2 * wlog))
-
-    xlog = _off_zero(_radius(f.grid.mesh()), np.log)
-    xterm = float(f.grid.vol * np.sum(xlog * np.abs(f.values) ** 2))
-
+    wterm = _energy(gram, _off_zero(_radius(gram.wgrid.base.mesh()), np.log))
+    xterm = _energy(f, _off_zero(_radius(f.grid.mesh()), np.log))
     lhs = wterm + wspec.norm2 * xterm
-    constant = digamma_fn(m.n / 2.0) - math.log(math.pi)
+    constant = _DIGAMMA_HALF_N[m.n] - math.log(math.pi)
     rhs = constant * wspec.norm2 * nf**2
     return UPReport("logarithmic", lhs, rhs, constant, lhs - rhs)
 
@@ -247,20 +251,11 @@ def concentration(
     sb = _check_box(s_box, f.grid, "S")
     eb = _check_box(e_box, g.wgrid.base, "E")
 
-    af2 = np.abs(f.values) ** 2
-    f_total = float(f.grid.vol * np.sum(af2))
-    f_tail = float(f.grid.vol * np.sum(af2[~_inside(f.grid.mesh(), sb)]))
-
-    av2 = np.abs(g.values) ** 2
-    gram_total = float(g.cell * np.sum(av2))
-    outside = ~_inside(g.wgrid.base.mesh(), eb)
-    gram_tail = float(g.cell * np.sum(av2 * outside))
-
     return ConcentrationSets(
         s_box=tuple(map(tuple, sb)),
         e_box=tuple(map(tuple, eb)),
-        f_tail=f_tail,
-        gram_tail=gram_tail,
-        f_total=f_total,
-        gram_total=gram_total,
+        f_tail=_energy(f, ~_inside(f.grid.mesh(), sb)),
+        gram_tail=_energy(g, ~_inside(g.wgrid.base.mesh(), eb)),
+        f_total=_energy(f),
+        gram_total=_energy(g),
     )

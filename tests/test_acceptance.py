@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nslct import (
+    Grid,
     SampledSignal,
     WindowSpec,
     compose,
@@ -31,7 +32,7 @@ from nslct import (
     synthesize,
 )
 from nslct import io as nio
-from nslct.specialfns import digamma_fn, gamma_fn
+from nslct.uncertainty import log_report, pitt_constant
 
 from helpers import align_phase, gaussian_1d, grid1, grid2, reference_nslct, reference_stft
 
@@ -221,18 +222,24 @@ def test_09_heisenberg_spot_check():
           f"lhs vs oracle rel {rel:.3e} <= 1e-6, rhs == ||phi||/(4 pi)")
 
 
+# 40-digit mpmath values of pi^(1/2) (Gamma((n - 1/2)/4) / Gamma((n + 1/2)/4))^2
+# and psi(n/2) - ln pi, the Pitt (alpha = 1/2) and log constants in n = 1, 2
+PITT_HALF_REF = {1: 17.904528926373966916, 2: 4.8397057164232750072}
+LOG_REF = {1: -3.1082399118708236536, 2: -1.7219455507509330347}
+
+
 def test_10_special_functions():
-    e1 = abs(gamma_fn(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)
-    want_psi = -0.5772156649015328606 - 2.0 * math.log(2.0)
-    e2 = abs(digamma_fn(0.5) - want_psi) / abs(want_psi)
-    worst_rec = 0.0
-    for xv in np.linspace(0.05, 40.0, 400):
-        lhs = gamma_fn(xv + 1.0)
-        rhs = xv * gamma_fn(xv)
-        worst_rec = max(worst_rec, abs(lhs - rhs) / abs(rhs))
-    ok = e1 <= 1e-12 and e2 <= 1e-12 and worst_rec <= 1e-13
-    _line(10, "special function values", ok,
-          f"gamma(1/2) {e1:.2e}, psi(1/2) {e2:.2e} <= 1e-12, recurrence {worst_rec:.2e} <= 1e-13")
+    worst = 0.0
+    for n in (1, 2):
+        g = Grid.centered((8,) * n, 0.5)
+        f = synthesize("gaussian", g)
+        m = preset("fourier", n)
+        wspec = WindowSpec(f, stride=1)
+        log_c = log_report(f, wspec, m, gram=stnslct_gram(f, wspec, m)).constant
+        for got, want in ((pitt_constant(n, 0.5), PITT_HALF_REF[n]), (log_c, LOG_REF[n])):
+            worst = max(worst, abs(got - want) / abs(want))
+    _line(10, "special function values", worst <= 1e-15,
+          f"pitt alpha=1/2 and log constants, n = 1, 2: worst relative {worst:.2e} <= 1e-15")
 
 
 def test_11_cli(tmp_path):

@@ -343,6 +343,20 @@ def test_invert_refuses_a_reference_on_another_grid(workdir, counts, spacing):
     assert "residual" not in out
 
 
+def test_invert_refuses_an_all_zero_reference(workdir):
+    d, g, f, w = workdir
+    ref = d / "ref.txt"
+    nio.write_signal(ref, SampledSignal(g, np.zeros(g.counts)))
+    rc, _, err = run_cli("transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
+                         "--out", d / "F.bin")
+    assert rc == 0, err
+    rc, out, err = run_cli("invert", "--input", d / "F.bin", "--matrix", d / "m.txt",
+                           "--reference", ref, "--out", d / "back.txt")
+    assert rc == 4
+    assert err.startswith("ZeroSignal") and "reference" in err
+    assert "residual" not in out
+
+
 def test_gram_then_invert_round_trip(workdir):
     d, g, f, w = workdir
     rc, _, err = run_cli(
@@ -375,6 +389,15 @@ def test_exit_codes(workdir):
                          "--matrix", fres, "--out", d / "x.txt")
     assert rc == 2
     assert err.startswith("ParseError: line 1")
+
+    # a missing preset field is a parse error for every preset, not only separable
+    for text, field in (("n=1; preset=frft\n", "alpha"), ("n=1; preset=fresnel\n", "b")):
+        short = d / "short.txt"
+        short.write_text(text)
+        rc, _, err = run_cli("transform", "--signal", d / "f.txt",
+                             "--matrix", short, "--out", d / "x.txt")
+        assert rc == 2
+        assert err.startswith("ParseError: line 1") and repr(field) in err
 
     sing = d / "sing.txt"
     sing.write_text("n=1; preset=frft; alpha=0.0\n")

@@ -71,9 +71,7 @@ def test_heisenberg_report_matched(matched):
 def test_pitt_constant_closed_forms():
     # alpha = 0 collapses the Gamma ratio to 1
     assert pitt_constant(1, 0.0) == pytest.approx(1.0, rel=1e-14)
-    from nslct.specialfns import gamma_fn
-
-    want = math.pi**0.5 * (gamma_fn(0.125) / gamma_fn(0.375)) ** 2
+    want = math.pi**0.5 * (math.gamma(0.125) / math.gamma(0.375)) ** 2
     assert pitt_constant(1, 0.5) == pytest.approx(want, rel=1e-13)
 
 
@@ -90,6 +88,10 @@ def test_pitt_report_alpha_bounds(matched):
     for bad in (-0.1, 1.0, 2.3):
         with pytest.raises(BadAlpha):
             pitt_report(f, wspec, m, bad, gram=gram)
+    # Gamma stays finite past alpha = n, so the constant itself checks [0, n)
+    for n, bad in ((1, -0.5), (1, 1.0), (1, math.nan), (2, 2.0)):
+        with pytest.raises(BadAlpha):
+            pitt_constant(n, bad)
 
 
 def test_lieb_report_endpoint_and_direction(matched):
@@ -98,8 +100,9 @@ def test_lieb_report_endpoint_and_direction(matched):
     assert abs(end.margin) <= 1e-9 * max(1.0, abs(end.rhs))
     mid = lieb_report(f, wspec, m, 4.0, gram=gram)
     assert mid.passed() and mid.margin > 0.01
-    with pytest.raises(BadP):
-        lieb_report(f, wspec, m, 1.5, gram=gram)
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(BadP):
+            lieb_report(f, wspec, m, bad, gram=gram)
 
 
 def test_hausdorff_young_report(matched):
