@@ -94,7 +94,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records, floors = run_suite(args.suite, seed=args.seed)
+    try:  # every BadParam here is the library's verdict on --seed
+        records, floors = run_suite(args.suite, seed=args.seed)
+    except BadParam as exc:
+        raise UsageError(str(exc)) from None
     if args.out:
         nio.write_report(args.out, records, floors)
     failures = [r for r in records if not r.passed]

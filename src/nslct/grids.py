@@ -338,7 +338,10 @@ def synthesize(kind: str, grid: Grid, **params) -> SampledSignal:
     elif kind == "noise":
         if "seed" not in params:
             raise BadParam("noise needs an explicit seed")
-        rng = np.random.default_rng(int(params.pop("seed")))
+        seed = int(params.pop("seed"))
+        if seed < 0:
+            raise BadParam(f"noise seed {seed} must be >= 0")
+        rng = np.random.default_rng(seed)
         band = float(params.pop("band", 0.5))
         if not (0.0 < band <= 1.0):
             raise BadParam("band must sit in (0, 1]")

@@ -98,8 +98,15 @@ def _int(fields: dict, key: str, line_no: int) -> int:
 
 
 def _lines(path: str) -> list[tuple[int, str]]:
-    with open(path, "r") as fh:
-        raw = fh.read().splitlines()
+    """Numbered non-blank, non-comment lines of a UTF-8 text file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        # "." stands in for the bad byte, so its line is numbered as above
+        line = len((data[:exc.start].decode() + ".").splitlines())
+        raise ParseError("file is not UTF-8 text", line) from None
     return [
         (i + 1, ln) for i, ln in enumerate(raw)
         if ln.strip() and not ln.lstrip().startswith("#")

@@ -2,9 +2,8 @@
 
 A gram tabulates, for every shift u on a stride-s sublattice of the signal
 grid, the transform of f(x) * conj(phi(x - u)).  Window shifts are whole
-sample steps, so the windowed products are formed by exact index shifts
-(out-of-range window samples count as zero) and each row reuses one
-precomputed fast-transform plan.
+sample steps that wrap around the grid (see _shifted_windows), and each row
+reuses one precomputed fast-transform plan.
 """
 from __future__ import annotations
 
@@ -37,52 +36,40 @@ class WindowSpec:
         object.__setattr__(self, "norm2", n2)
 
 
-def _origin_offsets(grid: Grid) -> tuple[int, ...]:
-    """Origin expressed in sample steps; shifts need it to be integral."""
-    offs = []
-    for j in range(grid.n):
-        r = grid.origin[j] / grid.spacing[j]
-        if abs(r - round(r)) > 1e-9:
-            raise GridMismatch("grid origin is not sample-aligned; cannot shift the window")
-        offs.append(int(round(r)))
-    return tuple(offs)
+def _shifted_windows(grid: Grid, wspec: WindowSpec):
+    """phi(x - u) for each shift u of the stride lattice, in row-major order.
 
-
-def _place_shifted(src: np.ndarray, shift: tuple[int, ...]) -> np.ndarray:
-    """out[k] = src[(k - shift) mod N]: shifts wrap around the grid.
-
-    Periodizing the window keeps the stride-summed partition exactly
-    translation invariant per residue class, so a window of all ones
-    reproduces the plain transform on every shift row and stride-1
-    reconstruction with the constant denominator is exact.  Windows in
-    practice decay well inside the grid, so the wrapped tail is below the
-    quadrature noise whenever the usual envelope assumptions hold.
+    The window must sit on the signal's grid and the grid origin must be
+    sample-aligned; both are checked here, on the call, before any row is
+    made.  Shifts are whole sample steps counted from the origin, and they
+    wrap around the grid: periodizing the window keeps the stride-summed
+    partition exactly translation invariant per residue class, so a window
+    of all ones reproduces the plain transform on every shift row and
+    stride-1 reconstruction with the constant denominator is exact.
+    Windows in practice decay well inside the grid, so the wrapped tail is
+    below the quadrature noise whenever the usual envelope assumptions hold.
     """
-    return np.roll(src, shift, axis=tuple(range(src.ndim)))
-
-
-def _shift_lattice(grid: Grid, wspec: WindowSpec):
     if wspec.window.grid != grid:
         raise GridMismatch("signal and window must share one grid")
-    s = wspec.stride
-    ugrid = shift_lattice(grid, s)
-    offs = _origin_offsets(grid)
-    shifts = [
-        tuple(s * idx[j] + offs[j] for j in range(grid.n))
-        for idx in np.ndindex(ugrid.counts)
-    ]
-    return ugrid, shifts
+    counts = shift_lattice(grid, wspec.stride).counts
+    offs = [o / d for o, d in zip(grid.origin, grid.spacing)]
+    if any(abs(r - round(r)) > 1e-9 for r in offs):
+        raise GridMismatch("grid origin is not sample-aligned; cannot shift the window")
+    s, wv, axes = wspec.stride, wspec.window.values, tuple(range(grid.n))
+    return (
+        np.roll(wv, tuple(s * i + round(r) for i, r in zip(idx, offs)), axis=axes)
+        for idx in np.ndindex(counts)
+    )
 
 
 def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
     """Tabulate the windowed transform over the (u, w) lattice."""
-    ugrid, shifts = _shift_lattice(f.grid, wspec)
+    windows = _shifted_windows(f.grid, wspec)
     plan = _FastPlan(f.grid, m)
-    wv = wspec.window.values
-    vals = np.empty(ugrid.counts + f.grid.counts, dtype=np.complex128)
-    flat = vals.reshape(ugrid.size, *f.grid.counts)
-    for i in range(ugrid.size):
-        flat[i] = plan.forward_values(f.values * np.conj(_place_shifted(wv, shifts[i])))
+    ucounts = shift_lattice(f.grid, wspec.stride).counts
+    vals = np.empty(ucounts + f.grid.counts, dtype=np.complex128)
+    for row, shifted in zip(vals.reshape(-1, *f.grid.counts), windows):
+        row[...] = plan.forward_values(f.values * np.conj(shifted))
     return Gram(m, f.grid, wspec.stride, vals)
 
 
@@ -119,20 +106,16 @@ def stnslct_reconstruct(
         raise BadParam(f"unknown denominator mode {denominator!r}")
     grid = wspec.window.grid
     check_gram(g, grid, m, wspec.stride)
-    ugrid, shifts = _shift_lattice(grid, wspec)
+    windows = _shifted_windows(grid, wspec)
     plan = _FastPlan(grid, m)
 
-    wv = wspec.window.values
-    ucell = ugrid.vol
     acc = np.zeros(grid.counts, dtype=np.complex128)
     partition = np.zeros(grid.counts)
-    flat = g.values.reshape(ugrid.size, *grid.counts)
-    for i in range(ugrid.size):
-        shifted = _place_shifted(wv, shifts[i])
-        acc += plan.inverse_values(flat[i]) * shifted
+    for row, shifted in zip(g.values.reshape(-1, *grid.counts), windows):
+        acc += plan.inverse_values(row) * shifted
         partition += np.abs(shifted) ** 2
-    acc *= ucell
-    partition *= ucell
+    acc *= g.ugrid.vol
+    partition *= g.ugrid.vol
     if float(np.min(partition)) < 1e-9:
         raise CoverageError("window shifts leave the grid uncovered")
     den = partition if denominator == "pointwise" else wspec.norm2

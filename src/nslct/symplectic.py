@@ -159,29 +159,33 @@ def frft(alpha: float, n: int = 1) -> FreeSymplecticMatrix:
 
 
 def fresnel(b, n: int | None = None) -> FreeSymplecticMatrix:
-    """(I, B : 0, I) with symmetric invertible B (a scalar means b * I)."""
+    """(I, B : 0, I) with symmetric invertible B (a scalar means b * I); a
+    given n must match B."""
     arr = np.array(b, dtype=float)
     if arr.ndim == 0:
         arr = float(arr) * np.eye(n or 1)
+    elif n is not None and arr.shape != (n, n):
+        raise DimensionError(f"fresnel B has shape {arr.shape}, not {n} x {n} for n={n}")
     eye = np.eye(arr.shape[0] if arr.ndim == 2 else 1)
     return validate(eye, arr, np.zeros_like(eye), eye)
 
 
-def separable(a, b, c, d) -> FreeSymplecticMatrix:
+def separable(a, b, c, d, n: int | None = None) -> FreeSymplecticMatrix:
     """Diagonal blocks built from per-axis (a_j, b_j, c_j, d_j) quadruples.
 
-    Scalars give n = 1; sequences must share one length.  Each axis must
-    satisfy a_j d_j - b_j c_j = 1 with b_j != 0, which is exactly the block
+    Each parameter holds 1 or n entries and a scalar applies to every axis;
+    without n the longest list sets it.  Each axis must satisfy
+    a_j d_j - b_j c_j = 1 with b_j != 0, which is exactly the block
     constraint set restricted to diagonal blocks.
     """
     parts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b, c, d)]
-    n = max(p.size for p in parts)
+    n = n or max(p.size for p in parts)
     cols = []
     for p in parts:
         if p.size == 1:
             p = np.full(n, float(p[0]))
         elif p.size != n:
-            raise DimensionError("per-axis parameter lists must share one length")
+            raise DimensionError(f"per-axis parameter lists must hold 1 or n={n} entries")
         cols.append(p)
     return validate(*(np.diag(col) for col in cols))
 
@@ -196,7 +200,8 @@ PRESET_FIELDS = {
 
 
 def preset(kind: str, n: int = 1, **params) -> FreeSymplecticMatrix:
-    """Dispatch to one of the named families by string."""
+    """Dispatch to one of the named families by string; the matrix is
+    n-dimensional or DimensionError is raised."""
     kind = kind.lower()
     if kind not in PRESET_FIELDS:
         raise BadParam(f"unknown preset {kind!r} (choose from {', '.join(PRESET_FIELDS)})")
@@ -209,7 +214,7 @@ def preset(kind: str, n: int = 1, **params) -> FreeSymplecticMatrix:
         return frft(float(params["alpha"]), n)
     if kind == "fresnel":
         return fresnel(params["b"], n)
-    return separable(params["a"], params["b"], params["c"], params["d"])
+    return separable(params["a"], params["b"], params["c"], params["d"], n)
 
 
 # ---------------------------------------------------------------------------

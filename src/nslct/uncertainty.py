@@ -19,20 +19,23 @@ from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
 
 
+# a report passes when margin >= -TOL_INEQUALITY * max(|lhs|, |rhs|)
+TOL_INEQUALITY = 1e-9
+
+
 @dataclass(frozen=True)
 class UPReport:
-    """One inequality instance: name, both sides, constant, margin, inputs."""
+    """One inequality instance: name, both sides, constant, margin."""
 
     name: str
     lhs: float
     rhs: float
     constant: float
     margin: float
-    inputs: tuple = ()
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        """Margin respects the inequality direction up to tol * scale."""
-        return self.margin >= -tol * max(abs(self.lhs), abs(self.rhs), 1e-300)
+    def passed(self) -> bool:
+        """Margin respects the inequality direction up to TOL_INEQUALITY * scale."""
+        return self.margin >= -TOL_INEQUALITY * max(abs(self.lhs), abs(self.rhs), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,6 @@ class ConcentrationSets:
     against.
     """
 
-    s_box: tuple
-    e_box: tuple
     f_tail: float
     gram_tail: float
     f_total: float
@@ -140,7 +141,7 @@ def pitt_report(
     lhs = _energy(gram, weight)
     moment = _energy(f, _radius(f.grid.mesh()) ** alpha)
     rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
-    return UPReport("pitt", lhs, rhs, constant, rhs - lhs, (("alpha", alpha),))
+    return UPReport("pitt", lhs, rhs, constant, rhs - lhs)
 
 
 def lieb_report(
@@ -154,8 +155,6 @@ def lieb_report(
 
     Normalization is applied by scaling the computed integral (the gram is
     p-homogeneous in each argument), so a shared precomputed gram works.
-    The B-determinant normalization makes the bound well defined for
-    matrices whose A block is singular; the report notes it in inputs.
     """
     p = float(p)
     if not (2.0 <= p < math.inf):
@@ -165,10 +164,7 @@ def lieb_report(
     raw = float(gram.cell * np.sum(np.abs(gram.values) ** p))
     lhs = raw / (nf * math.sqrt(wspec.norm2)) ** p
     constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
-    return UPReport(
-        "lieb", lhs, constant, constant, constant - lhs,
-        (("p", p), ("normalization", "det_b")),
-    )
+    return UPReport("lieb", lhs, constant, constant, constant - lhs)
 
 
 def hausdorff_young_report(
@@ -186,7 +182,7 @@ def hausdorff_young_report(
     check_gram(gram, f.grid, m, wspec.stride)
     lhs = lp_norm(gram, q)
     rhs = lp_norm(wspec.window, q) * lp_norm(f, p)
-    return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs, (("p", p), ("q", q)))
+    return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs)
 
 
 # psi(n/2) in closed form for the two supported dimensions
@@ -252,8 +248,6 @@ def concentration(
     eb = _check_box(e_box, g.wgrid.base, "E")
 
     return ConcentrationSets(
-        s_box=tuple(map(tuple, sb)),
-        e_box=tuple(map(tuple, eb)),
         f_tail=_energy(f, ~_inside(f.grid.mesh(), sb)),
         gram_tail=_energy(g, ~_inside(g.wgrid.base.mesh(), eb)),
         f_total=_energy(f),

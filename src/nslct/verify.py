@@ -25,6 +25,7 @@ from .symplectic import (
 )
 from .transform import nslct_fast
 from .uncertainty import (
+    TOL_INEQUALITY,
     UPReport,
     hausdorff_young_report,
     heisenberg_report,
@@ -35,7 +36,6 @@ from .uncertainty import (
 
 SUITE_NAMES = ("parseval", "moyal", "bounded", "heisenberg", "pitt", "lieb", "hy", "log")
 
-TOL_INEQUALITY = 1e-9  # margin >= -tol * max(|lhs|, |rhs|)
 TOL_EQUALITY = 1e-6    # |margin| <= tol * |rhs| at equality endpoints
 TOL_PARSEVAL = 1e-8
 TOL_MOYAL = 1e-6
@@ -61,13 +61,13 @@ def _scale(lhs: float, rhs: float) -> float:
 
 def _ineq(suite: str, rep: UPReport, params: str) -> Record:
     return Record(suite, rep.name, params, rep.lhs, rep.rhs, rep.constant,
-                  rep.margin, TOL_INEQUALITY, rep.passed(TOL_INEQUALITY))
+                  rep.margin, TOL_INEQUALITY, rep.passed())
 
 
 def _equality(suite: str, rep: UPReport, params: str) -> Record:
     ok = (
         abs(rep.margin) <= TOL_EQUALITY * _scale(rep.lhs, rep.rhs)
-        and rep.passed(TOL_INEQUALITY)
+        and rep.passed()
     )
     return Record(suite, rep.name + ":equality", params, rep.lhs, rep.rhs,
                   rep.constant, rep.margin, TOL_EQUALITY, ok)
@@ -265,6 +265,8 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
     for name in wanted:
         if name not in SUITE_NAMES:
             raise BadParam(f"unknown suite {name!r}")
+    if seed < 0:
+        raise BadParam(f"seed {seed} must be >= 0")
 
     records: list[Record] = []
     needs_combos = any(name != "parseval" for name in wanted)

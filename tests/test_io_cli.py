@@ -6,6 +6,7 @@ import pytest
 
 from nslct import (
     BadParam,
+    Grid,
     GridMismatch,
     SampledSignal,
     WindowSpec,
@@ -424,6 +425,24 @@ def test_exit_codes(workdir):
         assert err.startswith("UsageError: ") and "stride" in err
     assert not (d / "x.txt").exists()
 
+    # a negative seed is the library's verdict on --seed; no report is written
+    rc, out, err = run_cli("verify", "--seed", -1, "--out", d / "report.csv")
+    assert rc == 2
+    assert err.startswith("UsageError: ") and "seed" in err
+    assert out == "" and not (d / "report.csv").exists()
+
+    # separable scalars apply to every axis; a list of another length names n
+    sig2 = d / "f2.txt"
+    nio.write_signal(sig2, synthesize("gaussian", Grid.centered((16, 16), 0.5)))
+    sep = d / "sep.txt"
+    sep.write_text("n=2; preset=separable; a=1; b=2; c=0; d=1\n")
+    rc, _, err = run_cli("transform", "--signal", sig2, "--matrix", sep, "--out", d / "F2.bin")
+    assert rc == 0, err
+    sep.write_text("n=2; preset=separable; a=1,1,1; b=2,2,2; c=0,0,0; d=1,1,1\n")
+    rc, _, err = run_cli("transform", "--signal", sig2, "--matrix", sep, "--out", d / "x.txt")
+    assert rc == 3
+    assert err.startswith("DimensionError: ") and "n=2" in err
+
     pts = d / "pts.txt"
     pts.write_text("0.5\n")
     rc, _, err = run_cli("transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
@@ -442,6 +461,30 @@ def test_exit_codes(workdir):
     rc, _, err = run_cli("transform", "--signal", d / "missing.txt",
                          "--matrix", d / "m.txt", "--out", d / "x.txt")
     assert rc == 2
+
+
+def test_text_readers_refuse_a_binary_file(workdir):
+    d, g, f, w = workdir
+    spec = d / "F.bin"
+    nio.write_spectrum(spec, nslct_fast(f, preset("frft", 1, alpha=0.7)))
+    for args in (
+        ("transform", "--signal", spec, "--matrix", d / "m.txt"),
+        ("transform", "--signal", d / "f.txt", "--matrix", spec),
+        ("gram", "--signal", d / "f.txt", "--window", spec, "--matrix", d / "m.txt"),
+        ("invert", "--input", spec, "--matrix", d / "m.txt", "--reference", spec),
+        ("transform", "--signal", d / "f.txt", "--matrix", d / "m.txt",
+         "--method", "direct", "--wpoints", spec),
+    ):
+        rc, _, err = run_cli(*args, "--out", d / "x.txt")
+        assert rc == 2, args
+        assert err.startswith("ParseError: "), (args, err)
+
+    # the message names the line of the first byte that is not UTF-8
+    bad = d / "bad.txt"
+    bad.write_bytes(b"n=1\n# comment\npreset=\xff\n")
+    with pytest.raises(nio.ParseError) as exc:
+        nio.read_matrix(bad)
+    assert exc.value.line == 3
 
 
 def test_coverage_failure_maps_to_numeric_exit(workdir):

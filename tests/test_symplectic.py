@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nslct import (
     BadParam,
+    DimensionError,
     SingularB,
     SymplecticViolation,
     compose,
@@ -68,6 +69,17 @@ def test_separable_non_unimodular_axis_rejected():
     with pytest.raises(SymplecticViolation) as exc:
         preset("separable", 1, a=1.0, b=2.0, c=0.0, d=0.5)
     assert "A D^T - B C^T" in str(exc.value)
+
+
+def test_preset_matrix_has_dimension_n():
+    # separable scalars apply to every axis, as frft, fourier and fresnel scalars do
+    m = preset("separable", 2, a=1.0, b=2.0, c=0.0, d=1.0)
+    assert m.n == 2
+    assert np.array_equal(m.b, 2.0 * np.eye(2))
+    with pytest.raises(DimensionError, match="n=1"):
+        preset("fresnel", 1, b=np.array([[1.2, 0.2], [0.2, 0.9]]))
+    with pytest.raises(DimensionError, match="n=2"):
+        preset("separable", 2, a=(1.0, 1.0, 1.0), b=2.0, c=0.0, d=1.0)
 
 
 def test_unknown_preset():

@@ -1,4 +1,7 @@
-from nslct import SUITE_NAMES, run_suite
+import pytest
+
+import nslct.verify
+from nslct import SUITE_NAMES, BadParam, Grid, run_suite, synthesize
 
 CYCLE = ("fourier", "frft", "fresnel", "separable", "random", "random")
 COMBOS = [f"combo=n1-{i:02d}-{CYCLE[i % 6]};n=1" for i in range(20)] + [
@@ -41,3 +44,17 @@ def test_run_suite_all_pins_record_labels_and_order():
         "pitt": 48, "lieb": 48, "hy": 72, "log": 24,
     }
     assert sorted(floors) == sorted(SUITE_NAMES)
+
+
+def test_negative_seeds_are_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the seed check must come first")
+
+    monkeypatch.setattr(nslct.verify, "_combos", no_work)
+    monkeypatch.setattr(nslct.verify, "_suite_parseval", no_work)
+    for suite in ("all",) + SUITE_NAMES:
+        for seed in (-1, -2):
+            with pytest.raises(BadParam, match="seed"):
+                run_suite(suite, seed=seed)
+    with pytest.raises(BadParam, match="seed"):
+        synthesize("noise", Grid.centered(16, 0.5), seed=-1)
