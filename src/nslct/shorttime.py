@@ -2,8 +2,9 @@
 
 A gram tabulates, for every shift u on a stride-s sublattice of the signal
 grid, the transform of f(x) * conj(phi(x - u)).  Window shifts are whole
-sample steps that wrap around the grid (see _shifted_windows), and each row
-reuses one precomputed fast-transform plan.
+sample steps that wrap around the grid (see _shifted_windows), and every row
+reuses the one fast-transform plan of the matrix and grid, the same plan the
+plain forward and inverse transforms use (transform._plan).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import Grid, Gram, SampledSignal, check_gram, inner, norm_l2, shift_lattice
 from .symplectic import FreeSymplecticMatrix
-from .transform import _FastPlan
+from .transform import _plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +66,7 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec):
 def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
     """Tabulate the windowed transform over the (u, w) lattice."""
     windows = _shifted_windows(f.grid, wspec)
-    plan = _FastPlan(f.grid, m)
+    plan = _plan(f.grid, m)
     ucounts = shift_lattice(f.grid, wspec.stride).counts
     vals = np.empty(ucounts + f.grid.counts, dtype=np.complex128)
     for row, shifted in zip(vals.reshape(-1, *f.grid.counts), windows):
@@ -107,7 +108,7 @@ def stnslct_reconstruct(
     grid = wspec.window.grid
     check_gram(g, grid, m, wspec.stride)
     windows = _shifted_windows(grid, wspec)
-    plan = _FastPlan(grid, m)
+    plan = _plan(grid, m)
 
     acc = np.zeros(grid.counts, dtype=np.complex128)
     partition = np.zeros(grid.counts)

@@ -11,10 +11,15 @@ chirp exp(i x^T B^-1 A x / 2), take the unitary-convention Fourier transform,
 read it off at B^-1 w, and apply the output chirp and the |det B|^(-1/2)
 weight.  On the warped FFT lattice w = B omega this agrees with the direct
 quadrature identically, so inversion is exact up to rounding.
+
+The two chirps of a (matrix, grid) pair form its plan.  A plan is built once
+per matrix object and grid, shared by the forward and inverse transforms and
+the short-time gram and reconstruction, and lives as long as its matrix.
 """
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -40,7 +45,8 @@ def _quad_form(points: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _quad_form_mesh(meshes, q: np.ndarray) -> np.ndarray:
-    out = np.zeros(meshes[0].shape)
+    """x^T q x / 2 over coordinate arrays that broadcast to the grid shape."""
+    out = np.zeros(np.broadcast_shapes(*(mesh.shape for mesh in meshes)))
     for i in range(len(meshes)):
         for j in range(len(meshes)):
             if q[i, j] != 0.0:
@@ -85,31 +91,73 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     return out
 
 
+def _sparse_mesh(grid: Grid) -> list[np.ndarray]:
+    return np.meshgrid(*(grid.axis(j) for j in range(grid.n)), indexing="ij", sparse=True)
+
+
+def _unit_phase(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), taken in place in the complex copy of phase."""
+    out = 1j * phase
+    return np.exp(out, out=out)
+
+
 class _FastPlan:
     """Precomputed pointwise factors of the chirp-FFT-chirp pipeline.
 
-    Reused across the many windowed-product transforms a gram needs.
+    Built once per (matrix object, grid) by _plan and shared by every call
+    under that pair, so both arrays are read-only.  It holds no reference to
+    its matrix, which keeps the matrix, and with it the plan, collectable.
+    The factors are built, and applied, in place where that leaves the bytes
+    unchanged: a kept plan adds two full-grid arrays to the caller's peak
+    memory, and each temporary saved offsets part of that.
     """
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
-        lattice = output_lattice(grid, m)
-        self.chirp = np.exp(1j * _quad_form_mesh(grid.mesh(), m.b_inva))
-        omega = lattice.base.mesh()
-        carrier = sum(omega[j] * grid.origin[j] for j in range(grid.n))
-        qw = _quad_form_mesh(lattice.point_meshes(), m.db_inv)
-        amp = grid.vol * (2.0 * math.pi) ** (-grid.n / 2.0) / math.sqrt(abs(m.det_b))
-        self.post = amp * np.exp(1j * (qw - carrier))
+        n, lattice = grid.n, output_lattice(grid, m)
+        self.chirp = _unit_phase(_quad_form_mesh(_sparse_mesh(grid), m.b_inva))
+        # the same sums as lattice.point_meshes(), on sparse axes
+        omega = _sparse_mesh(lattice.base)
+        carrier = sum(omega[j] * grid.origin[j] for j in range(n))
+        warped = [sum(lattice.warp[i, j] * omega[j] for j in range(n)) for i in range(n)]
+        amp = grid.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
+        self.post = _unit_phase(_quad_form_mesh(warped, m.db_inv) - carrier)
+        self.post *= amp
+        self.chirp.setflags(write=False)
+        self.post.setflags(write=False)
 
     def forward_values(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftshift(np.fft.fftn(values * self.chirp)) * self.post
+        out = np.fft.fftshift(np.fft.fftn(values * self.chirp))
+        out *= self.post
+        return out
 
     def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.ifftshift(values / self.post)) * np.conj(self.chirp)
+        out = np.fft.ifftn(np.fft.ifftshift(values / self.post))
+        out *= np.conj(self.chirp)
+        return out
+
+
+# Plans per matrix object, keyed by grid in least-recently-used order.  The
+# key is the object, not same_matrix: a matrix within its tolerance would get
+# a plan that is not bit for bit its own.
+_PLANS_PER_MATRIX = 4
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
+    """The plan of m on grid, built on first use and dropped with m."""
+    plans = _plans.setdefault(m, {})
+    plan = plans.pop(grid, None)
+    if plan is None:
+        plan = _FastPlan(grid, m)
+        if len(plans) >= _PLANS_PER_MATRIX:
+            del plans[next(iter(plans))]
+    plans[grid] = plan
+    return plan
 
 
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:
     """Transform on the warped FFT lattice w = B omega in O(N log N)."""
-    plan = _FastPlan(f.grid, m)
+    plan = _plan(f.grid, m)
     return Spectrum(m, plan.forward_values(f.values), f.grid)
 
 
@@ -120,7 +168,7 @@ def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
     """
     if not same_matrix(spec.matrix, m):
         raise GridMismatch("spectrum was produced under a different matrix")
-    plan = _FastPlan(spec.signal_grid, m)
+    plan = _plan(spec.signal_grid, m)
     return SampledSignal(spec.signal_grid, plan.inverse_values(spec.values))
 
 

@@ -14,12 +14,15 @@ from nslct import (
     moyal,
     norm_l2,
     nslct_fast,
+    nslct_inverse,
     preset,
     random_free_matrix,
     stnslct_gram,
     stnslct_reconstruct,
     synthesize,
 )
+from nslct import shorttime
+from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_stft
 
@@ -153,6 +156,36 @@ def test_reconstruction_2d():
     rec = stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m)
     err = norm_l2(SampledSignal(g, rec.values - f.values)) / norm_l2(f)
     assert err <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stored_plan_gives_gram_and_reconstruction_the_bytes_of_a_fresh_one(n, monkeypatch):
+    g = grid1() if n == 1 else grid2(32, 0.5)
+    f = synthesize("noise", g, seed=41)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.5), stride=4)
+    m = random_free_matrix(np.random.default_rng(42), n)
+    grams = [stnslct_gram(f, wspec, m) for _ in range(2)]  # the second call reuses the plan
+    recs = [stnslct_reconstruct(gram, wspec, m) for gram in grams]
+    monkeypatch.setattr(shorttime, "_plan", lambda grid, m: _FastPlan(grid, m))
+    gram = stnslct_gram(f, wspec, m)
+    expect = stnslct_reconstruct(gram, wspec, m).values.tobytes()
+    assert all(v.values.tobytes() == gram.values.tobytes() for v in grams)
+    assert all(r.values.tobytes() == expect for r in recs)
+
+
+def test_forward_inverse_gram_and_reconstruction_share_one_plan(monkeypatch):
+    used = []
+    for name in ("forward_values", "inverse_values"):
+        run = getattr(_FastPlan, name)
+        monkeypatch.setattr(
+            _FastPlan, name, lambda self, v, run=run: used.append(self) or run(self, v)
+        )
+    g, f, wspec = matched_setup(stride=8)
+    m = random_free_matrix(np.random.default_rng(43), 1)
+    nslct_inverse(nslct_fast(f, m), m)
+    stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m)
+    assert len(used) == 2 + 2 * g.counts[0] // 8
+    assert all(plan is _plan(g, m) for plan in used)
 
 
 def test_sparse_cover_raises_coverage_error():

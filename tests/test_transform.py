@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nslct import (
+    Grid,
     GridMismatch,
     SampledSignal,
     inverse,
@@ -14,10 +18,13 @@ from nslct import (
     nslct_inverse,
     preset,
     random_free_matrix,
+    same_matrix,
     spectrum_as_signal,
     synthesize,
     validate,
 )
+from nslct import transform
+from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err
 
@@ -117,6 +124,67 @@ def test_inverse_matrix_transform_undoes_forward_pointwise():
     sig = spectrum_as_signal(spec)  # diagonal warp, so a true uniform grid
     back = nslct_direct(sig, inverse(m), g.flat_points())
     assert np.max(np.abs(back - f.values.ravel())) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stored_plan_gives_the_bytes_of_a_fresh_one(n, monkeypatch):
+    f = synthesize("noise", grid1() if n == 1 else grid2(), seed=31)
+    m = random_free_matrix(np.random.default_rng(32), n)
+    stored = [nslct_fast(f, m) for _ in range(2)]  # the second call reuses the plan
+    back = [nslct_inverse(spec, m) for spec in stored]
+    monkeypatch.setattr(transform, "_plan", lambda grid, m: _FastPlan(grid, m))
+    spec = nslct_fast(f, m)
+    expect = nslct_inverse(spec, m).values.tobytes()
+    assert all(s.values.tobytes() == spec.values.tobytes() for s in stored)
+    assert all(b.values.tobytes() == expect for b in back)
+
+
+def test_plans_are_keyed_on_the_matrix_object():
+    base = random_free_matrix(np.random.default_rng(33), 2)
+    m1, m2 = (validate(base.a, base.b, base.c, base.d) for _ in range(2))
+    assert same_matrix(m1, m2)
+    g = grid2()
+    assert _plan(g, m1) is _plan(g, m1)
+    assert _plan(g, m1) is not _plan(g, m2)
+
+
+def test_inverse_keys_on_its_own_matrix_argument():
+    base = random_free_matrix(np.random.default_rng(34), 1)
+    m1, m2 = (validate(base.a, base.b, base.c, base.d) for _ in range(2))
+    f = gaussian_1d(grid1())
+    nslct_inverse(nslct_fast(f, m1), m2)
+    assert f.grid in transform._plans[m2]
+
+
+def test_plans_are_dropped_with_their_matrix():
+    m = random_free_matrix(np.random.default_rng(35), 1)
+    f = gaussian_1d(grid1())
+    spec = nslct_fast(f, m)
+    plan = weakref.ref(_plan(f.grid, m))
+    stored = len(transform._plans)
+    del m, spec
+    gc.collect()
+    assert plan() is None
+    assert len(transform._plans) <= stored - 1
+
+
+def test_plans_per_matrix_are_bounded_least_recent_first():
+    m = random_free_matrix(np.random.default_rng(36), 1)
+    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(transform._PLANS_PER_MATRIX + 2)]
+    for g in grids:
+        _plan(g, m)
+        _plan(grids[0], m)  # keep the first grid recently used
+    kept = transform._plans[m]
+    assert len(kept) == transform._PLANS_PER_MATRIX
+    assert list(kept)[-1] == grids[0]
+    assert grids[1] not in kept and grids[-1] in kept
+
+
+def test_plan_arrays_are_read_only():
+    plan = _plan(grid1(), preset("frft", 1, alpha=0.3))
+    for arr in (plan.chirp, plan.post):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_spectrum_as_signal_requires_diagonal_warp():
