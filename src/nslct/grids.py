@@ -8,6 +8,7 @@ which keeps every figure in the test battery bit-reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,10 @@ class Grid:
         n = len(self.counts)
         if n not in (1, 2) or len(self.spacing) != n or len(self.origin) != n:
             raise BadParam("grid needs matching 1- or 2-axis metadata")
+        try:
+            object.__setattr__(self, "counts", tuple(operator.index(N) for N in self.counts))
+        except TypeError:
+            raise BadParam(f"axis counts {self.counts} must be integers") from None
         for N in self.counts:
             if N < 8 or (N & (N - 1)) != 0:
                 raise BadParam(f"axis count {N} must be a power of two >= 8")
@@ -52,7 +57,7 @@ class Grid:
     @classmethod
     def centered(cls, counts, spacing) -> "Grid":
         """Grid with the default origin o_j = -N_j * delta_j / 2."""
-        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        counts = tuple(np.atleast_1d(counts).tolist())
         n = len(counts)
         spacing = _per_axis(spacing, n, "spacing", float)
         origin = tuple(-(N * s) / 2.0 for N, s in zip(counts, spacing))

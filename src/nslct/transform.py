@@ -14,10 +14,13 @@ quadrature identically, so inversion is exact up to rounding.
 
 The two chirps of a (matrix, grid) pair form its plan.  A plan is built once
 per matrix object and grid, shared by the forward and inverse transforms and
-the short-time gram and reconstruction, and lives as long as its matrix.
+the short-time gram and reconstruction, and lives as long as its matrix.  It
+transforms one grid or a stack of them over the last n axes, and folds the
+fftshift into the output factor.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -124,14 +127,41 @@ class _FastPlan:
         self.post *= amp
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)
+        # (src, dst) pairs of the 2^n quadrant moves of the fftshift: counts
+        # are even, so it swaps the halves of every axis and is its own
+        # inverse; the leading ellipsis indexes one grid or a stack of them
+        halves = [(slice(N // 2, None), slice(None, N // 2)) for N in grid.counts]
+        self.quadrants = [
+            ((..., *src), (..., *dst))
+            for src, dst in zip(itertools.product(*halves),
+                                itertools.product(*(h[::-1] for h in halves)))
+        ]
+        self.axes = tuple(range(-n, 0))
 
-    def forward_values(self, values: np.ndarray) -> np.ndarray:
-        out = np.fft.fftshift(np.fft.fftn(values * self.chirp))
-        out *= self.post
+    def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transform one grid of values, or a stack of them, over the last n axes.
+
+        The fftshift is folded into the output factor: each of the 2^n
+        quadrants of the FFT is multiplied by post straight into its shifted
+        place, in out if given (out may be values itself).
+        """
+        spec = values * self.chirp
+        np.fft.fftn(spec, axes=self.axes, out=spec)
+        if out is None:
+            out = np.empty_like(spec)
+        for src, dst in self.quadrants:
+            np.multiply(spec[src], self.post[dst], out=out[dst])
         return out
 
     def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        out = np.fft.ifftn(np.fft.ifftshift(values / self.post))
+        """Undo forward_values over the last n axes of one grid or a stack.
+
+        The ifftshift is folded into the division by post the same way.
+        """
+        out = np.empty(values.shape, dtype=np.complex128)
+        for src, dst in self.quadrants:
+            np.divide(values[dst], self.post[dst], out=out[src])
+        np.fft.ifftn(out, axes=self.axes, out=out)
         out *= np.conj(self.chirp)
         return out
 

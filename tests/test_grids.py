@@ -43,6 +43,18 @@ def test_grid_rejects_bad_shapes():
         Grid((8, 8, 8), (0.1,) * 3, (0.0,) * 3)  # only n in {1, 2}
 
 
+def test_grid_refuses_non_integral_counts_and_keeps_numpy_ints():
+    with pytest.raises(BadParam):
+        Grid.centered(64.5, 0.25)  # was silently truncated to 64 points
+    with pytest.raises(BadParam):
+        Grid((64.0,), (0.25,), (0.0,))
+    with pytest.raises(BadParam):
+        Grid.centered((64, 32.5), 0.25)
+    g = Grid.centered(np.int64(64), 0.25)
+    assert g == Grid.centered(64, 0.25) and type(g.counts[0]) is int
+    assert Grid((np.int32(16), 8), (0.5, 0.5), (0.0, 0.0)).counts == (16, 8)
+
+
 def test_mesh_and_flat_points_agree():
     g = grid2(8, 0.5)
     pts = g.flat_points()

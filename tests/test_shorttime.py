@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nslct import (
     BadParam,
     CoverageError,
+    Grid,
     GridMismatch,
     SampledSignal,
     WindowSpec,
@@ -42,6 +45,9 @@ def test_window_spec_validation():
         WindowSpec(w, stride=0)
     with pytest.raises(BadParam):
         WindowSpec(w, stride=2.5)
+    for stride in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadParam):
+            WindowSpec(w, stride=stride)
     with pytest.raises(ZeroSignal):
         WindowSpec(SampledSignal(g, np.zeros(256, dtype=complex)), stride=1)
     with pytest.raises(TypeError):  # the squared norm is always computed
@@ -178,14 +184,77 @@ def test_forward_inverse_gram_and_reconstruction_share_one_plan(monkeypatch):
     for name in ("forward_values", "inverse_values"):
         run = getattr(_FastPlan, name)
         monkeypatch.setattr(
-            _FastPlan, name, lambda self, v, run=run: used.append(self) or run(self, v)
+            _FastPlan, name, lambda self, *a, run=run, **k: used.append(self) or run(self, *a, **k)
         )
-    g, f, wspec = matched_setup(stride=8)
+    g, f, wspec = matched_setup(stride=1)
     m = random_free_matrix(np.random.default_rng(43), 1)
     nslct_inverse(nslct_fast(f, m), m)
     stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m)
-    assert len(used) == 2 + 2 * g.counts[0] // 8
+    # one call per chunk of shift rows, and 256 rows make more than one chunk
+    chunks = math.ceil(g.counts[0] / (shorttime._CHUNK_POINTS // g.size))
+    assert chunks > 1
+    assert len(used) == 2 + 2 * chunks
     assert all(plan is _plan(g, m) for plan in used)
+
+
+def _row_loop_gram_and_reconstructions(f, wspec, m):
+    """The gram and both reconstructions row by row, each shifted window an
+    np.roll copy and each row its own FFT with the fftshift applied apart."""
+    g, s = f.grid, wspec.stride
+    plan = _FastPlan(g, m)
+    axes = tuple(range(g.n))
+    lead = [round(o / d) for o, d in zip(g.origin, g.spacing)]
+    ucounts = tuple(N // s for N in g.counts)
+    windows = [
+        np.roll(wspec.window.values, tuple(s * i + o for i, o in zip(idx, lead)), axis=axes)
+        for idx in np.ndindex(ucounts)
+    ]
+    rows = [
+        np.fft.fftshift(np.fft.fftn(f.values * np.conj(w) * plan.chirp)) * plan.post
+        for w in windows
+    ]
+    acc = np.zeros(g.counts, dtype=complex)
+    partition = np.zeros(g.counts)
+    for row, w in zip(rows, windows):
+        acc += np.fft.ifftn(np.fft.ifftshift(row / plan.post)) * np.conj(plan.chirp) * w
+        partition += np.abs(w) ** 2
+    ucell = float(np.prod([s * d for d in g.spacing]))  # the shift lattice's cell
+    acc *= ucell
+    partition *= ucell
+    gram = np.stack(rows).reshape(ucounts + g.counts)
+    return gram, acc / partition, acc / wspec.norm2
+
+
+@pytest.mark.parametrize(
+    "counts, spacing, origin, stride",
+    [
+        ((256,), (0.1,), None, 1),
+        ((256,), (0.1,), None, 4),
+        ((64, 16), (0.35, 0.5), None, 2),
+        ((256,), (0.1,), (-0.5,), 2),
+        ((2**16,), (0.001,), None, 2**13),
+    ],
+    ids=[
+        "1d-stride1-two-chunks",
+        "1d-stride4-fewer-rows-than-a-chunk",
+        "2d-64x16-stride2-eight-chunks",
+        "1d-origin-off-centre-shifts-wrap",
+        "1d-one-row-per-chunk",
+    ],
+)
+def test_chunked_gram_and_reconstruction_keep_the_bytes_of_the_row_loop(
+    counts, spacing, origin, stride
+):
+    g = Grid.centered(counts, spacing) if origin is None else Grid(counts, spacing, origin)
+    f = synthesize("noise", g, seed=7)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.2), stride=stride)
+    m = random_free_matrix(np.random.default_rng(44), g.n)
+    want_gram, want_pointwise, want_constant = _row_loop_gram_and_reconstructions(f, wspec, m)
+    gram = stnslct_gram(f, wspec, m)
+    assert gram.values.tobytes() == want_gram.tobytes()
+    for mode, want in (("pointwise", want_pointwise), ("constant", want_constant)):
+        rec = stnslct_reconstruct(gram, wspec, m, denominator=mode)
+        assert rec.values.tobytes() == want.tobytes(), mode
 
 
 def test_sparse_cover_raises_coverage_error():
