@@ -80,16 +80,22 @@ class Grid:
         return self.origin[j] + self.spacing[j] * np.arange(self.counts[j])
 
     def mesh(self) -> list[np.ndarray]:
-        """Coordinate arrays shaped like the value array (ij indexing)."""
-        return list(np.meshgrid(*(self.axis(j) for j in range(self.n)), indexing="ij"))
+        """Broadcastable coordinate axes, ij order: N_j long on array axis j, 1 on the rest."""
+        n = self.n
+        return [self.axis(j).reshape([-1 if i == j else 1 for i in range(n)]) for j in range(n)]
 
     def flat_points(self) -> np.ndarray:
         """All sample positions, row-major, as a (size, n) array."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
+        return _flat_points(self.mesh(), self.counts)
 
     def extent(self, j: int) -> tuple[float, float]:
         """First and last sample position along axis j."""
         return self.origin[j], self.origin[j] + self.spacing[j] * (self.counts[j] - 1)
+
+
+def _flat_points(meshes, counts: tuple[int, ...]) -> np.ndarray:
+    """Coordinate arrays broadcast to counts, as a row-major (size, n) array."""
+    return np.stack([np.broadcast_to(m, counts).ravel() for m in meshes], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +153,14 @@ class WarpedGrid:
         return abs(self.det_warp) * self.base.vol
 
     def point_meshes(self) -> list[np.ndarray]:
-        """Warped coordinates, one array per output axis."""
+        """Warped coordinates sum_j L_ij omega_j over the base grid's axes."""
         base = self.base.mesh()
         n = self.base.n
         return [sum(self.warp[i, j] * base[j] for j in range(n)) for i in range(n)]
 
     def flat_points(self) -> np.ndarray:
         """All lattice points, row-major, as a (size, n) array."""
-        return np.stack([m.ravel() for m in self.point_meshes()], axis=-1)
+        return _flat_points(self.point_meshes(), self.base.counts)
 
 
 def output_lattice(grid: Grid, m: FreeSymplecticMatrix) -> WarpedGrid:
@@ -294,6 +300,17 @@ def lp_norm(obj, p: float) -> float:
 # deterministic test-signal factory
 
 
+def check_seed(seed) -> int:
+    """A random seed as an int >= 0 (numpy integers pass), else BadParam."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise BadParam(f"seed {seed!r} must be an integer") from None
+    if seed < 0:
+        raise BadParam(f"seed {seed} must be >= 0")
+    return seed
+
+
 def _gaussian_values(grid: Grid, sigma, center) -> np.ndarray:
     sig = _per_axis(sigma, grid.n, "sigma", float)
     cen = _per_axis(center, grid.n, "center", float)
@@ -343,10 +360,7 @@ def synthesize(kind: str, grid: Grid, **params) -> SampledSignal:
     elif kind == "noise":
         if "seed" not in params:
             raise BadParam("noise needs an explicit seed")
-        seed = int(params.pop("seed"))
-        if seed < 0:
-            raise BadParam(f"noise seed {seed} must be >= 0")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(params.pop("seed")))
         band = float(params.pop("band", 0.5))
         if not (0.0 < band <= 1.0):
             raise BadParam("band must sit in (0, 1]")

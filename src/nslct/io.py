@@ -22,13 +22,12 @@ observe a half-written file.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
 from .errors import BadParam, NSLCTError
 from .grids import Grid, Gram, SampledSignal, Spectrum, check_gram, shift_lattice
-from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, preset, validate
+from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, check_n, preset, validate
 
 # dtype of spectrum and gram payloads, on every host
 PAYLOAD = "<c16"
@@ -53,7 +52,8 @@ def _fmt_list(values) -> str:
 def _atomic_write(path: str, *parts):
     """Write str (as UTF-8) and bytes-like parts, in order, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as from open()
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
@@ -129,6 +129,7 @@ def read_matrix(path: str) -> FreeSymplecticMatrix:
         last_line = line_no
         fields.update(_parse_pairs(text, line_no))
     n = _int(fields, "n", last_line)
+    check_n(n)
     if "preset" in fields:
         kind = fields.pop("preset").lower()
         params = {}

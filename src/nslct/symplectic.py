@@ -32,6 +32,12 @@ def _as_block(m, name: str) -> np.ndarray:
     return arr
 
 
+def check_n(n: int):
+    """Raise DimensionError unless n is a supported dimension, 1 or 2."""
+    if n not in (1, 2):
+        raise DimensionError(f"dimension n={n} unsupported (1 or 2)")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=float)
     out.setflags(write=False)
@@ -105,8 +111,7 @@ def validate(a, b, c, d) -> FreeSymplecticMatrix:
     n = A.shape[0]
     if any(blk.shape != (n, n) for blk in blocks):
         raise DimensionError("blocks A, B, C, D must share one shape")
-    if n not in (1, 2):
-        raise DimensionError(f"dimension n={n} unsupported (1 or 2)")
+    check_n(n)
 
     eye = np.eye(n)
     checks = (
@@ -208,6 +213,7 @@ def preset(kind: str, n: int = 1, **params) -> FreeSymplecticMatrix:
     for key in PRESET_FIELDS[kind]:
         if key not in params:
             raise BadParam(f"preset {kind!r} is missing parameter {key!r}")
+    check_n(n)
     if kind == "fourier":
         return fourier(n)
     if kind == "frft":

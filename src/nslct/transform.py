@@ -94,10 +94,6 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     return out
 
 
-def _sparse_mesh(grid: Grid) -> list[np.ndarray]:
-    return np.meshgrid(*(grid.axis(j) for j in range(grid.n)), indexing="ij", sparse=True)
-
-
 def _unit_phase(phase: np.ndarray) -> np.ndarray:
     """exp(i phase), taken in place in the complex copy of phase."""
     out = 1j * phase
@@ -105,7 +101,8 @@ def _unit_phase(phase: np.ndarray) -> np.ndarray:
 
 
 class _FastPlan:
-    """Precomputed pointwise factors of the chirp-FFT-chirp pipeline.
+    """Precomputed pointwise factors of the chirp-FFT-chirp pipeline, read off
+    broadcastable coordinate axes (Grid.mesh, WarpedGrid.point_meshes).
 
     Built once per (matrix object, grid) by _plan and shared by every call
     under that pair, so both arrays are read-only.  It holds no reference to
@@ -117,13 +114,10 @@ class _FastPlan:
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
         n, lattice = grid.n, output_lattice(grid, m)
-        self.chirp = _unit_phase(_quad_form_mesh(_sparse_mesh(grid), m.b_inva))
-        # the same sums as lattice.point_meshes(), on sparse axes
-        omega = _sparse_mesh(lattice.base)
-        carrier = sum(omega[j] * grid.origin[j] for j in range(n))
-        warped = [sum(lattice.warp[i, j] * omega[j] for j in range(n)) for i in range(n)]
+        self.chirp = _unit_phase(_quad_form_mesh(grid.mesh(), m.b_inva))
+        carrier = sum(om * o for om, o in zip(lattice.base.mesh(), grid.origin))
         amp = grid.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
-        self.post = _unit_phase(_quad_form_mesh(warped, m.db_inv) - carrier)
+        self.post = _unit_phase(_quad_form_mesh(lattice.point_meshes(), m.db_inv) - carrier)
         self.post *= amp
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)

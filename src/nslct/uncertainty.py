@@ -19,8 +19,12 @@ from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
 
 
-# a report passes when margin >= -TOL_INEQUALITY * max(|lhs|, |rhs|)
-TOL_INEQUALITY = 1e-9
+TOL_INEQUALITY = 1e-9  # see UPReport.passed
+
+
+def margin_scale(lhs: float, rhs: float) -> float:
+    """The size a margin is measured against: max(|lhs|, |rhs|, 1e-300)."""
+    return max(abs(lhs), abs(rhs), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class UPReport:
 
     def passed(self) -> bool:
         """Margin respects the inequality direction up to TOL_INEQUALITY * scale."""
-        return self.margin >= -TOL_INEQUALITY * max(abs(self.lhs), abs(self.rhs), 1e-300)
+        return self.margin >= -TOL_INEQUALITY * margin_scale(self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def _check_box(box, grid, name: str):
 
 
 def _inside(meshes, box) -> np.ndarray:
-    mask = np.ones(meshes[0].shape, dtype=bool)
+    mask = np.ones(np.broadcast_shapes(*(m.shape for m in meshes)), dtype=bool)
     for j, m in enumerate(meshes):
         mask &= (m >= box[j, 0]) & (m <= box[j, 1])
     return mask

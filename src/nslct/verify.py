@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam
-from .grids import Grid, Gram, SampledSignal, lp_norm, norm_l2, synthesize
+from .grids import Grid, Gram, SampledSignal, check_seed, lp_norm, norm_l2, synthesize
 from .shorttime import WindowSpec, boundedness_margin, moyal, stnslct_gram
 from .symplectic import (
     FreeSymplecticMatrix,
@@ -31,6 +31,7 @@ from .uncertainty import (
     heisenberg_report,
     lieb_report,
     log_report,
+    margin_scale,
     pitt_report,
 )
 
@@ -55,22 +56,21 @@ class Record:
     passed: bool
 
 
-def _scale(lhs: float, rhs: float) -> float:
-    return max(abs(lhs), abs(rhs), 1e-300)
-
-
 def _ineq(suite: str, rep: UPReport, params: str) -> Record:
     return Record(suite, rep.name, params, rep.lhs, rep.rhs, rep.constant,
                   rep.margin, TOL_INEQUALITY, rep.passed())
 
 
 def _equality(suite: str, rep: UPReport, params: str) -> Record:
-    ok = (
-        abs(rep.margin) <= TOL_EQUALITY * _scale(rep.lhs, rep.rhs)
-        and rep.passed()
-    )
+    ok = abs(rep.margin) <= TOL_EQUALITY * margin_scale(rep.lhs, rep.rhs) and rep.passed()
     return Record(suite, rep.name + ":equality", params, rep.lhs, rep.rhs,
                   rep.constant, rep.margin, TOL_EQUALITY, ok)
+
+
+def _identity(suite: str, name: str, params: str, lhs: float, rhs: float, tol: float) -> Record:
+    """An identity lhs = rhs: margin -|lhs - rhs|, passing within tol * rhs."""
+    gap = abs(lhs - rhs)
+    return Record(suite, name, params, lhs, rhs, 1.0, -gap, tol, gap <= tol * rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,24 +165,14 @@ def _suite_parseval(seed: int) -> list[Record]:
         grid = _grid1() if n == 1 else _grid2()
         f = _signal(i, grid, rng)
         m, tag = _matrix(i, n, rng)
-        lhs = lp_norm(nslct_fast(f, m), 2)
-        rhs = norm_l2(f)
-        margin = -abs(lhs - rhs)
-        ok = abs(lhs - rhs) <= TOL_PARSEVAL * rhs
-        out.append(Record("parseval", "parseval", f"i={i};n={n};matrix={tag}",
-                          lhs, rhs, 1.0, margin, TOL_PARSEVAL, ok))
+        out.append(_identity("parseval", "parseval", f"i={i};n={n};matrix={tag}",
+                             lp_norm(nslct_fast(f, m), 2), norm_l2(f), TOL_PARSEVAL))
     return out
 
 
 def _suite_moyal(combos: list[_Combo], seed: int) -> list[Record]:
-    out = []
-    for c in combos:
-        lhs = moyal(c.gram, c.gram).real
-        rhs = norm_l2(c.f) ** 2 * c.wspec.norm2
-        margin = -abs(lhs - rhs)
-        ok = abs(lhs - rhs) <= TOL_MOYAL * rhs
-        out.append(Record("moyal", "moyal-energy", c.params, lhs, rhs, 1.0,
-                          margin, TOL_MOYAL, ok))
+    out = [_identity("moyal", "moyal-energy", c.params, moyal(c.gram, c.gram).real,
+                     norm_l2(c.f) ** 2 * c.wspec.norm2, TOL_MOYAL) for c in combos]
 
     grid = _grid1()
     even = synthesize("gaussian", grid, sigma=1.0)
@@ -207,29 +197,20 @@ def _suite_moyal(combos: list[_Combo], seed: int) -> list[Record]:
     return out
 
 
-def _suite_bounded(combos: list[_Combo]) -> list[Record]:
-    out = []
-    for c in combos:
-        margin = boundedness_margin(c.gram, c.f, c.wspec, c.m)
-        sup = float(np.max(np.abs(c.gram.values)))
-        bound = sup + margin
-        ok = sup <= bound * (1.0 + TOL_INEQUALITY)
-        out.append(Record("bounded", "boundedness", c.params, sup, bound,
-                          (2.0 * math.pi) ** (-c.m.n / 2.0), margin, TOL_INEQUALITY, ok))
+def _boundedness(c: _Combo) -> UPReport:
+    """sup |gram| against the bound it leaves boundedness_margin below."""
+    margin = boundedness_margin(c.gram, c.f, c.wspec, c.m)
+    sup = float(np.max(np.abs(c.gram.values)))
+    return UPReport("boundedness", sup, sup + margin, (2.0 * math.pi) ** (-c.m.n / 2.0), margin)
 
+
+def _suite_bounded(combos: list[_Combo]) -> list[Record]:
+    out = [_ineq("bounded", _boundedness(c), c.params) for c in combos]
     # matched Gaussians meet the bound at (w, u) = (0, 0) under the plain
     # Fourier matrix; the sup then sits on the bound itself
-    grid = _grid1()
-    f = synthesize("gaussian", grid, sigma=1.0)
-    wspec = WindowSpec(f, stride=1)
-    m = fourier(1)
-    g = stnslct_gram(f, wspec, m)
-    margin = boundedness_margin(g, f, wspec, m)
-    sup = float(np.max(np.abs(g.values)))
-    bound = sup + margin
-    ok = abs(margin) <= TOL_EQUALITY * bound and margin >= -TOL_INEQUALITY * bound
-    out.append(Record("bounded", "boundedness:equality", "matched-gaussian",
-                      sup, bound, (2.0 * math.pi) ** -0.5, margin, TOL_EQUALITY, ok))
+    f = synthesize("gaussian", _grid1(), sigma=1.0)
+    matched = _combo("matched", f, WindowSpec(f, stride=1), fourier(1))
+    out.append(_equality("bounded", _boundedness(matched), "matched-gaussian"))
     return out
 
 
@@ -265,8 +246,7 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
     for name in wanted:
         if name not in SUITE_NAMES:
             raise BadParam(f"unknown suite {name!r}")
-    if seed < 0:
-        raise BadParam(f"seed {seed} must be >= 0")
+    seed = check_seed(seed)
 
     records: list[Record] = []
     needs_combos = any(name != "parseval" for name in wanted)
@@ -286,7 +266,7 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
 
     floors: dict[str, float] = {}
     for rec in records:
-        rel = rec.margin / _scale(rec.lhs, rec.rhs)
+        rel = rec.margin / margin_scale(rec.lhs, rec.rhs)
         if rec.suite not in floors or rel < floors[rec.suite]:
             floors[rec.suite] = rel
     return records, floors

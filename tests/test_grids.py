@@ -56,12 +56,18 @@ def test_grid_refuses_non_integral_counts_and_keeps_numpy_ints():
 
 
 def test_mesh_and_flat_points_agree():
+    # mesh() gives one broadcastable axis per dimension, not N^n coordinates
     g = grid2(8, 0.5)
     pts = g.flat_points()
     mx, my = g.mesh()
+    assert (mx.shape, my.shape) == ((8, 1), (1, 8))
+    assert np.array_equal(mx[:, 0], g.axis(0)) and np.array_equal(my[0], g.axis(1))
     assert pts.shape == (64, 2)
-    assert np.array_equal(pts[:, 0], mx.ravel())
-    assert np.array_equal(pts[:, 1], my.ravel())
+    bx, by = np.broadcast_arrays(mx, my)
+    assert np.array_equal(pts[:, 0], bx.ravel())
+    assert np.array_equal(pts[:, 1], by.ravel())
+    (ax,) = grid1().mesh()
+    assert np.array_equal(ax, grid1().axis(0))
 
 
 def test_output_lattice_is_b_over_the_frequency_grid_and_built_lazily():

@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from nslct import (
     BadParam,
+    DimensionError,
     Grid,
     GridMismatch,
     SampledSignal,
@@ -226,6 +229,36 @@ def test_matrix_file_forms(tmp_path):
     assert np.array_equal(m2.b, 1.5 * np.eye(2))
 
 
+@pytest.mark.parametrize("text", [
+    "n=-1; preset=fourier\n",
+    "n=-1; A=1; B=1; C=0; D=1\n",
+    "n=0; A=1; B=1; C=0; D=1\n",
+    "n=3; A=1; B=1; C=0; D=1\n",
+])
+def test_matrix_file_dimension_is_checked_before_any_block(tmp_path, text):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    with pytest.raises(DimensionError, match="unsupported"):
+        nio.read_matrix(p)
+
+
+def test_written_files_keep_the_umask(tmp_path):
+    f = gaussian_1d(grid1())
+    spec = nslct_fast(f, preset("frft", 1, alpha=0.7))
+    old = os.umask(0o027)
+    try:
+        nio.write_signal(tmp_path / "f.txt", f)
+        nio.write_spectrum(tmp_path / "F.bin", spec)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError):  # the rename fails; the temp file goes
+            nio.write_signal(tmp_path / "dir", f)
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F.bin", "dir", "f.txt"]
+    for name in ("f.txt", "F.bin"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+
+
 def test_parse_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("n=1; preset\n")
@@ -399,6 +432,15 @@ def test_exit_codes(workdir):
                              "--matrix", short, "--out", d / "x.txt")
         assert rc == 2
         assert err.startswith("ParseError: line 1") and repr(field) in err
+
+    # a dimension outside {1, 2} is a validation error, whatever the form
+    for text in ("n=-1; preset=fourier\n", "n=-1; A=1; B=1; C=0; D=1\n"):
+        neg = d / "neg.txt"
+        neg.write_text(text)
+        rc, _, err = run_cli("transform", "--signal", d / "f.txt",
+                             "--matrix", neg, "--out", d / "x.txt")
+        assert rc == 3
+        assert err.startswith("DimensionError: dimension n=-1 unsupported")
 
     sing = d / "sing.txt"
     sing.write_text("n=1; preset=frft; alpha=0.0\n")

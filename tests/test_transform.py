@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from nslct import (
     Grid,
     GridMismatch,
     SampledSignal,
+    output_lattice,
     inverse,
     kernel_eval,
     lp_norm,
@@ -124,6 +126,47 @@ def test_inverse_matrix_transform_undoes_forward_pointwise():
     sig = spectrum_as_signal(spec)  # diagonal warp, so a true uniform grid
     back = nslct_direct(sig, inverse(m), g.flat_points())
     assert np.max(np.abs(back - f.values.ravel())) <= 1e-6
+
+
+def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
+    """Plan factors and a 2-D chirp signal, read off broadcastable axes, equal
+    the same expressions on dense np.meshgrid arrays byte for byte."""
+    def dense(grid):
+        return np.meshgrid(*(grid.axis(j) for j in range(grid.n)), indexing="ij")
+
+    def quad(xs, q):  # x^T q x / 2, summed in the plan's order
+        out = np.zeros(xs[0].shape)
+        for i in range(len(xs)):
+            for j in range(len(xs)):
+                if q[i, j] != 0.0:
+                    out += q[i, j] * (xs[i] * xs[j])
+        return 0.5 * out
+
+    rng = np.random.default_rng(41)
+    g2 = Grid((64, 16), (0.3, 0.6), (-30 * 0.3, -7 * 0.6))
+    for g in (grid1(), g2):
+        n = g.n
+        m = random_free_matrix(rng, n)
+        if n == 2:  # non-separable: the cross terms of both chirps are live
+            assert m.b_inva[0, 1] != 0.0 and m.db_inv[0, 1] != 0.0
+        x, omega = dense(g), dense(output_lattice(g, m).base)
+        w = [sum(m.b[i, j] * omega[j] for j in range(n)) for i in range(n)]
+        carrier = sum(omega[j] * g.origin[j] for j in range(n))
+        amp = g.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
+        plan = _FastPlan(g, m)
+        assert plan.chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
+        assert plan.post.tobytes() == (np.exp(1j * (quad(w, m.db_inv) - carrier)) * amp).tobytes()
+
+    sigma, center, freq, rate = (1.1, 0.9), (0.3, -0.2), (1.2, -0.7), (0.25, 0.4)
+    f = synthesize("chirp", g2, sigma=sigma, center=center, freq=freq, rate=rate)
+    env, phase = np.ones(g2.counts), np.zeros(g2.counts)
+    for j, xj in enumerate(dense(g2)):
+        env = env * (math.pi ** -0.25 / math.sqrt(sigma[j])
+                     * np.exp(-((xj - center[j]) ** 2) / (2.0 * sigma[j] ** 2)))
+        phase = phase + freq[j] * xj + 0.5 * rate[j] * xj * xj
+    vals = env.astype(np.complex128) * np.exp(1j * phase)
+    vals = vals / norm_l2(SampledSignal(g2, vals))
+    assert f.values.tobytes() == vals.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -2,6 +2,8 @@ import pytest
 
 import nslct.verify
 from nslct import SUITE_NAMES, BadParam, Grid, run_suite, synthesize
+from nslct.uncertainty import TOL_INEQUALITY
+from nslct.verify import TOL_CROSS, TOL_EQUALITY, TOL_MOYAL, TOL_PARSEVAL
 
 CYCLE = ("fourier", "frft", "fresnel", "separable", "random", "random")
 COMBOS = [f"combo=n1-{i:02d}-{CYCLE[i % 6]};n=1" for i in range(20)] + [
@@ -45,6 +47,24 @@ def test_run_suite_all_pins_record_labels_and_order():
     }
     assert sorted(floors) == sorted(SUITE_NAMES)
 
+    # each record's verdict is the rule its tol names, from its own columns
+    for r in records:
+        scale = max(abs(r.lhs), abs(r.rhs), 1e-300)
+        if r.name.startswith("moyal-orthogonal"):
+            assert r.tol == TOL_CROSS and r.margin == TOL_CROSS * r.rhs - r.lhs
+            rule = r.lhs <= TOL_CROSS * r.rhs
+        elif r.name in ("parseval", "moyal-energy"):
+            assert r.tol == (TOL_PARSEVAL if r.suite == "parseval" else TOL_MOYAL)
+            assert r.margin == -abs(r.lhs - r.rhs)
+            rule = abs(r.lhs - r.rhs) <= r.tol * r.rhs
+        elif r.name.endswith(":equality"):
+            assert r.tol == TOL_EQUALITY
+            rule = abs(r.margin) <= TOL_EQUALITY * scale and r.margin >= -TOL_INEQUALITY * scale
+        else:
+            assert r.tol == TOL_INEQUALITY
+            rule = r.margin >= -TOL_INEQUALITY * scale
+        assert r.passed == rule, r
+
 
 def test_negative_seeds_are_refused_before_any_work(monkeypatch):
     def no_work(*args):
@@ -53,8 +73,9 @@ def test_negative_seeds_are_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(nslct.verify, "_combos", no_work)
     monkeypatch.setattr(nslct.verify, "_suite_parseval", no_work)
     for suite in ("all",) + SUITE_NAMES:
-        for seed in (-1, -2):
+        for seed in (-1, -2, 1.5):
             with pytest.raises(BadParam, match="seed"):
                 run_suite(suite, seed=seed)
-    with pytest.raises(BadParam, match="seed"):
-        synthesize("noise", Grid.centered(16, 0.5), seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(BadParam, match="seed"):
+            synthesize("noise", Grid.centered(16, 0.5), seed=seed)
