@@ -18,14 +18,7 @@ import numpy as np
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import Grid, Gram, SampledSignal, check_gram, inner, norm_l2, shift_lattice
 from .symplectic import FreeSymplecticMatrix
-from .transform import _plan
-
-# Points per chunk of shift rows (512 KB of complex128): one FFT call serves
-# many short rows.  On 2 shared CPUs, chunks of 2^13, 2^15, 2^16 and 2^17
-# points timed within noise of each other on a 2048-point and a 64^2 gram;
-# 2^14 was 1.5x slower on the 2048-point gram, and one call over the whole
-# stack of rows 1.2-1.5x slower on both (see ROADMAP item 1).
-_CHUNK_POINTS = 2**15
+from .transform import _CHUNK_POINTS, _plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +90,10 @@ def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -
     return Gram(m, f.grid, wspec.stride, vals)
 
 
-def boundedness_margin(
+def _bound_and_sup(
     g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
-) -> float:
-    """Sup-norm slack: (2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| - max |gram|."""
+) -> tuple[float, float]:
+    """(2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| and max |gram|."""
     check_gram(g, f.grid, m, wspec.stride)
     bound = (
         (2.0 * math.pi) ** (-m.n / 2.0)
@@ -108,7 +101,15 @@ def boundedness_margin(
         * norm_l2(f)
         * math.sqrt(wspec.norm2)
     )
-    return bound - float(np.max(np.abs(g.values)))
+    return bound, float(np.max(np.abs(g.values)))
+
+
+def boundedness_margin(
+    g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
+) -> float:
+    """Sup-norm slack: (2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| - max |gram|."""
+    bound, sup = _bound_and_sup(g, f, wspec, m)
+    return bound - sup
 
 
 def stnslct_reconstruct(

@@ -23,12 +23,22 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 
 from .errors import GridMismatch
 from .grids import Grid, SampledSignal, Spectrum, check_dimension, output_lattice
 from .symplectic import FreeSymplecticMatrix, same_matrix
+
+# Points per chunk (512 KB of complex128): the short-time gram and its
+# overlap-add send this many points of shift rows through one FFT call, and
+# nslct_direct builds its per-axis factors for this many entries at a time.
+# On 2 shared CPUs, gram chunks of 2^13, 2^15, 2^16 and 2^17 points timed
+# within noise of each other on a 2048-point and a 64^2 gram; 2^14 was 1.5x
+# slower on the 2048-point gram, and one call over the whole stack of rows
+# 1.2-1.5x slower on both (see ROADMAP item 1).
+_CHUNK_POINTS = 2**15
 
 
 def _points(p, n: int) -> np.ndarray:
@@ -74,23 +84,49 @@ def kernel_eval(m: FreeSymplecticMatrix, x, w) -> np.ndarray:
     return amp * np.exp(1j * phase)
 
 
-def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarray:
-    """Brute-force quadrature vol * sum_k f_k K_M(x_k, w), one w at a time.
+def _axis_factor(om: np.ndarray, grid: Grid, j: int) -> np.ndarray:
+    """exp(-i om x) for each om and each x on grid axis j, as (om.size, N_j).
 
-    This is the oracle the fast path is checked against; it is O(#w * #grid)
-    and makes no use of the FFT.
+    Sample a N_b + b of the axis sits at (x_0 + a N_b d) + b d, so the
+    factor is the outer product of a coarse table of N_j / N_b exps per om
+    and a fine one of N_b, with N_b about sqrt(N_j).
+    """
+    N, d = grid.counts[j], grid.spacing[j]
+    nb = 1 << (N.bit_length() - 1) // 2
+    coarse = _unit_phase(-np.multiply.outer(om, grid.axis(j)[::nb]))
+    fine = _unit_phase(-np.multiply.outer(om, d * np.arange(nb)))
+    return (coarse[:, :, np.newaxis] * fine[:, np.newaxis, :]).reshape(om.size, N)
+
+
+def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarray:
+    """Brute-force quadrature vol * sum_k f_k K_M(x_k, w) at each point w.
+
+    The phase splits into the input chirp x^T B^-1 A x / 2, taken once on
+    the grid into G = f * exp(i x^T B^-1 A x / 2); the output chirp
+    w^T D B^-1 w / 2 per point; and the cross term -omega . x, omega = B^-1 w,
+    which factors per axis on the uniform grid.  Points go in chunks of
+    about _CHUNK_POINTS factor entries: per chunk E_j = exp(-i omega_j x_j)
+    over axis j (_axis_factor), and the sum is E_0 @ G in 1-D and the row
+    sums of (E_0 @ G) * E_1 in 2-D.
+
+    This is the oracle the fast path is checked against; it is
+    O(#w * #grid), makes no use of the FFT and reads nothing from the plan.
     """
     check_dimension(f.grid, m)
+    grid = f.grid
     pts = _points(wpoints, m.n).reshape(-1, m.n)
-    x = f.grid.flat_points()
-    fv = f.values.ravel()
-    amp = (2.0 * math.pi) ** (-m.n / 2.0) / math.sqrt(abs(m.det_b)) * f.grid.vol
-    qx = _quad_form(x, m.b_inva)
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    for i, w in enumerate(pts):
-        qw = 0.5 * float(w @ m.db_inv @ w)
-        cross = x @ (m.b_inv @ w)
-        out[i] = amp * np.sum(fv * np.exp(1j * (qw - cross + qx)))
+    amp = (2.0 * math.pi) ** (-m.n / 2.0) / math.sqrt(abs(m.det_b)) * grid.vol
+    g = f.values * _unit_phase(_quad_form(grid.flat_points(), m.b_inva).reshape(grid.counts))
+    omega = pts @ m.b_invt
+    out = amp * _unit_phase(_quad_form(pts, m.db_inv))
+    step = max(1, _CHUNK_POINTS // max(grid.counts))
+    for k in range(0, pts.shape[0], step):
+        om = omega[k:k + step]
+        acc = _axis_factor(om[:, 0], grid, 0) @ g
+        if grid.n == 2:
+            acc *= _axis_factor(om[:, 1], grid, 1)
+            acc = acc.sum(axis=1)
+        out[k:k + step] *= acc
     return out
 
 
@@ -130,7 +166,10 @@ class _FastPlan:
             for src, dst in zip(itertools.product(*halves),
                                 itertools.product(*(h[::-1] for h in halves)))
         ]
-        self.axes = tuple(range(-n, 0))
+        # the FFT over the last n axes, picked once per plan: in 1-D np.fft.fft
+        # gives fftn's bytes without its argument handling (ifft2 drops out=)
+        self.fft, self.ifft = (np.fft.fft, np.fft.ifft) if n == 1 else (
+            partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
 
     def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform one grid of values, or a stack of them, over the last n axes.
@@ -140,7 +179,7 @@ class _FastPlan:
         place, in out if given (out may be values itself).
         """
         spec = values * self.chirp
-        np.fft.fftn(spec, axes=self.axes, out=spec)
+        self.fft(spec, out=spec)
         if out is None:
             out = np.empty_like(spec)
         for src, dst in self.quadrants:
@@ -155,7 +194,7 @@ class _FastPlan:
         out = np.empty(values.shape, dtype=np.complex128)
         for src, dst in self.quadrants:
             np.divide(values[dst], self.post[dst], out=out[src])
-        np.fft.ifftn(out, axes=self.axes, out=out)
+        self.ifft(out, out=out)
         out *= np.conj(self.chirp)
         return out
 

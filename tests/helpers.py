@@ -38,7 +38,7 @@ def reference_nslct(f: SampledSignal, blocks, wpts: np.ndarray) -> np.ndarray:
     out = np.empty(wpts.shape[0], dtype=complex)
     for row, w in enumerate(wpts):
         qw = 0.5 * w @ (d @ binv) @ w
-        cross = xs @ (binv.T @ w)
+        cross = xs @ (binv @ w)  # x^T B^-1 w
         out[row] = amp * f.grid.vol * np.sum(
             fv * np.exp(1j * (qw - cross + qx))
         )

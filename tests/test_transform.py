@@ -62,6 +62,41 @@ def test_direct_matches_reference_quadrature():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, counts, points", [(2, 64, 700), (1, 1024, 75)])
+def test_direct_matches_reference_off_the_lattice_in_partial_chunks(n, counts, points):
+    """Per-axis factors against the per-point loop at random points, with a
+    point count that leaves the last chunk partial."""
+    rng = np.random.default_rng(40 + n)
+    m = random_free_matrix(rng, n)
+    g = grid2(counts) if n == 2 else grid1(counts, 0.05)
+    assert points % max(1, transform._CHUNK_POINTS // counts) != 0
+    if n == 2:
+        assert m.b[0, 1] != 0.0 and m.b_inva[0, 1] != 0.0  # not separable
+    f = synthesize("noise", g, seed=9)
+    wpts = rng.uniform(-3.0, 3.0, size=(points, n))
+    got = nslct_direct(f, m, wpts)
+    assert got.shape == (points,)
+    assert rel_max_err(got, reference_nslct(f, (m.a, m.b, m.c, m.d), wpts)) <= 1e-12
+
+
+def test_direct_takes_scalar_and_empty_point_sets():
+    m1 = random_free_matrix(np.random.default_rng(42), 1)
+    f1 = synthesize("noise", grid1(64, 0.25), seed=3)
+    got = nslct_direct(f1, m1, 0.7)
+    assert got.shape == (1,)
+    assert rel_max_err(got, reference_nslct(f1, (m1.a, m1.b, m1.c, m1.d), [0.7])) <= 1e-12
+    assert nslct_direct(f1, m1, []).shape == (0,)
+    m2 = random_free_matrix(np.random.default_rng(43), 2)
+    assert nslct_direct(synthesize("noise", grid2(16), seed=4), m2, np.empty((0, 2))).shape == (0,)
+
+
+def test_direct_reads_no_plan():
+    """The oracle builds its chirps itself: no plan exists for its matrix."""
+    m = random_free_matrix(np.random.default_rng(44), 2)
+    nslct_direct(synthesize("noise", grid2(32), seed=5), m, np.zeros((3, 2)))
+    assert m not in transform._plans
+
+
 def test_fast_agrees_with_direct_on_warped_lattice():
     g = grid1()
     f = synthesize("chirp", g, freq=1.1, rate=0.4)
