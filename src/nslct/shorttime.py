@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import Grid, Gram, SampledSignal, check_gram, inner, norm_l2, shift_lattice
 from .symplectic import FreeSymplecticMatrix
-from .transform import _CHUNK_POINTS, _plan
+from .transform import _CHUNK_POINTS, _amplitude, _plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +95,7 @@ def _bound_and_sup(
 ) -> tuple[float, float]:
     """(2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| and max |gram|."""
     check_gram(g, f.grid, m, wspec.stride)
-    bound = (
-        (2.0 * math.pi) ** (-m.n / 2.0)
-        / math.sqrt(abs(m.det_b))
-        * norm_l2(f)
-        * math.sqrt(wspec.norm2)
-    )
+    bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
     return bound, float(np.max(np.abs(g.values)))
 
 

@@ -239,11 +239,11 @@ def same_matrix(m: FreeSymplecticMatrix, other: FreeSymplecticMatrix) -> bool:
     inverses use this to refuse any other: a shared B block gives the same
     output lattice but a different transform.
     """
-    if m is other:
-        return True
-    if m.n != other.n:
-        return False
-    a, b = m.as_matrix(), other.as_matrix()
+    return m is other or m.n == other.n and _close(m.as_matrix(), other.as_matrix())
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b agree to 1e-12 relative to 1 + their larger entry."""
     scale = 1.0 + max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) <= 1e-12 * scale
 

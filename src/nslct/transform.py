@@ -27,9 +27,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import BadParam, GridMismatch
 from .grids import Grid, SampledSignal, Spectrum, check_dimension, output_lattice
-from .symplectic import FreeSymplecticMatrix, same_matrix
+from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 
 # Points per chunk (512 KB of complex128): the short-time gram and its
 # overlap-add send this many points of shift rows through one FFT call, and
@@ -43,28 +43,47 @@ _CHUNK_POINTS = 2**15
 
 def _points(p, n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if n == 1 and arr.shape[-1] != 1:
+    if arr.shape == (0,):
+        arr = arr.reshape(0, n)
+    if arr.ndim == 0 or n == 1 and arr.shape[-1] != 1:
         arr = arr[..., np.newaxis]
     if arr.shape[-1] != n:
         raise GridMismatch(f"points with last axis {arr.shape[-1]} do not match n={n}")
+    if not np.all(np.isfinite(arr)):
+        raise BadParam("points must be finite")
     return arr
 
 
-def _quad_form(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x^T q x / 2 along the last axis."""
-    return 0.5 * np.einsum("...i,ij,...j->...", points, q, points)
+def _columns(p, n: int) -> list[np.ndarray]:
+    """A point set (coordinates on the last axis) as one array per axis."""
+    arr = _points(p, n)
+    return [arr[..., j] for j in range(n)]
 
 
-def _quad_form_mesh(meshes, q: np.ndarray) -> np.ndarray:
-    """x^T q x / 2 over coordinate arrays that broadcast to the grid shape."""
-    out = np.zeros(np.broadcast_shapes(*(mesh.shape for mesh in meshes)))
-    for i in range(len(meshes)):
-        for j in range(len(meshes)):
+def _form(us, q: np.ndarray, vs) -> np.ndarray:
+    """sum_ij q_ij u_i v_j over broadcastable coordinate arrays, zero q_ij skipped."""
+    out = np.zeros(np.broadcast(*us, *vs).shape)
+    for i in range(len(us)):
+        for j in range(len(vs)):
             if q[i, j] != 0.0:
-                out += q[i, j] * (meshes[i] * meshes[j])
-    return 0.5 * out
+                out += q[i, j] * (us[i] * vs[j])
+    return out
+
+
+def _unit_phase(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase), taken in place in the complex copy of phase."""
+    out = 1j * phase
+    return np.exp(out, out=out)
+
+
+def _chirp(xs, q: np.ndarray) -> np.ndarray:
+    """exp(i x^T q x / 2) over coordinate arrays xs."""
+    return _unit_phase(0.5 * _form(xs, q, xs))
+
+
+def _amplitude(m: FreeSymplecticMatrix, vol: float = 1.0) -> float:
+    """vol * (2 pi)^(-n/2) |det B|^(-1/2), the kernel's weight times a cell volume."""
+    return vol * (2.0 * math.pi) ** (-m.n / 2.0) / math.sqrt(abs(m.det_b))
 
 
 def kernel_eval(m: FreeSymplecticMatrix, x, w) -> np.ndarray:
@@ -73,15 +92,9 @@ def kernel_eval(m: FreeSymplecticMatrix, x, w) -> np.ndarray:
     Scalars are fine for n = 1.  Returns a complex array shaped by the
     broadcast of the two point sets.
     """
-    xa = _points(x, m.n)
-    wa = _points(w, m.n)
-    amp = (2.0 * math.pi) ** (-m.n / 2.0) / math.sqrt(abs(m.det_b))
-    phase = (
-        _quad_form(wa, m.db_inv)
-        - np.einsum("...i,ij,...j->...", wa, m.b_invt, xa)
-        + _quad_form(xa, m.b_inva)
-    )
-    return amp * np.exp(1j * phase)
+    xs, ws = _columns(x, m.n), _columns(w, m.n)
+    phase = 0.5 * _form(ws, m.db_inv, ws) - _form(ws, m.b_invt, xs) + 0.5 * _form(xs, m.b_inva, xs)
+    return _amplitude(m) * np.exp(1j * phase)
 
 
 def _axis_factor(om: np.ndarray, grid: Grid, j: int) -> np.ndarray:
@@ -110,15 +123,15 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     sums of (E_0 @ G) * E_1 in 2-D.
 
     This is the oracle the fast path is checked against; it is
-    O(#w * #grid), makes no use of the FFT and reads nothing from the plan.
+    O(#w * #grid), makes no use of the FFT and reads no plan, though its
+    chirps come from the plan's _chirp and _amplitude.
     """
     check_dimension(f.grid, m)
     grid = f.grid
     pts = _points(wpoints, m.n).reshape(-1, m.n)
-    amp = (2.0 * math.pi) ** (-m.n / 2.0) / math.sqrt(abs(m.det_b)) * grid.vol
-    g = f.values * _unit_phase(_quad_form(grid.flat_points(), m.b_inva).reshape(grid.counts))
+    g = f.values * _chirp(grid.mesh(), m.b_inva)
     omega = pts @ m.b_invt
-    out = amp * _unit_phase(_quad_form(pts, m.db_inv))
+    out = _amplitude(m, grid.vol) * _chirp(pts.T, m.db_inv)
     step = max(1, _CHUNK_POINTS // max(grid.counts))
     for k in range(0, pts.shape[0], step):
         om = omega[k:k + step]
@@ -128,12 +141,6 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
             acc = acc.sum(axis=1)
         out[k:k + step] *= acc
     return out
-
-
-def _unit_phase(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase), taken in place in the complex copy of phase."""
-    out = 1j * phase
-    return np.exp(out, out=out)
 
 
 class _FastPlan:
@@ -150,11 +157,13 @@ class _FastPlan:
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
         n, lattice = grid.n, output_lattice(grid, m)
-        self.chirp = _unit_phase(_quad_form_mesh(grid.mesh(), m.b_inva))
-        carrier = sum(om * o for om, o in zip(lattice.base.mesh(), grid.origin))
-        amp = grid.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
-        self.post = _unit_phase(_quad_form_mesh(lattice.point_meshes(), m.db_inv) - carrier)
-        self.post *= amp
+        self.chirp = _chirp(grid.mesh(), m.b_inva)
+        ws = lattice.point_meshes()
+        phase = 0.5 * _form(ws, m.db_inv, ws)
+        del ws  # freed before the carrier omega . x_0 and the exp
+        phase -= sum(om * o for om, o in zip(lattice.base.mesh(), grid.origin))
+        self.post = _unit_phase(phase)
+        self.post *= _amplitude(m, grid.vol)
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)
         # (src, dst) pairs of the 2^n quadrant moves of the fftshift: counts
@@ -243,14 +252,9 @@ def spectrum_as_signal(spec: Spectrum) -> SampledSignal:
     transforms be chained.
     """
     base, warp = spec.wgrid.base, spec.wgrid.warp
-    n = base.n
-    off = np.max(np.abs(warp - np.diag(np.diag(warp)))) if n > 1 else 0.0
     diag = np.diag(warp)
-    if off > 1e-12 * (1.0 + float(np.max(np.abs(warp)))) or np.any(diag <= 0.0):
+    if not _close(warp, np.diag(diag)) or np.any(diag <= 0.0):
         raise GridMismatch("warped lattice is uniform only for positive diagonal B")
-    grid = Grid(
-        base.counts,
-        tuple(float(diag[j]) * base.spacing[j] for j in range(n)),
-        tuple(float(diag[j]) * base.origin[j] for j in range(n)),
-    )
+    grid = Grid(base.counts, tuple(float(s) * d for s, d in zip(diag, base.spacing)),
+                tuple(float(s) * o for s, o in zip(diag, base.origin)))
     return SampledSignal(grid, spec.values)

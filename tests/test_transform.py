@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nslct import (
+    BadParam,
     Grid,
     GridMismatch,
     SampledSignal,
@@ -87,7 +88,38 @@ def test_direct_takes_scalar_and_empty_point_sets():
     assert rel_max_err(got, reference_nslct(f1, (m1.a, m1.b, m1.c, m1.d), [0.7])) <= 1e-12
     assert nslct_direct(f1, m1, []).shape == (0,)
     m2 = random_free_matrix(np.random.default_rng(43), 2)
-    assert nslct_direct(synthesize("noise", grid2(16), seed=4), m2, np.empty((0, 2))).shape == (0,)
+    f2 = synthesize("noise", grid2(16), seed=4)
+    assert nslct_direct(f2, m2, np.empty((0, 2))).shape == (0,)
+    assert nslct_direct(f2, m2, []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    m1 = preset("frft", 1, alpha=0.7)
+    with pytest.raises(BadParam):
+        nslct_direct(synthesize("noise", grid1(64, 0.25), seed=3), m1, [0.0, bad])
+    with pytest.raises(BadParam):
+        kernel_eval(m1, [bad], [0.0])
+    with pytest.raises(BadParam):
+        kernel_eval(m1, [0.0], [bad])
+    m2 = random_free_matrix(np.random.default_rng(43), 2)
+    with pytest.raises(BadParam):
+        nslct_direct(synthesize("noise", grid2(16), seed=4), m2, [[0.0, 0.0], [1.0, bad]])
+
+
+def test_kernel_eval_sums_to_the_reference_quadrature():
+    """vol * sum_x f(x) K_M(x, w) is the defining sum, phase and all: a sign
+    flip of the cross term or B^-1 read for B^-T would fail here."""
+    rng = np.random.default_rng(45)
+    m = random_free_matrix(rng, 2)
+    assert m.b_invt[0, 1] != m.b_invt[1, 0]  # B^-1 and B^-T differ
+    g = grid2(16)
+    f = synthesize("noise", g, seed=6)
+    wpts = rng.uniform(-3.0, 3.0, size=(40, 2))
+    k = kernel_eval(m, g.flat_points()[:, np.newaxis, :], wpts[np.newaxis, :, :])
+    got = g.vol * np.sum(f.values.reshape(-1, 1) * k, axis=0)
+    assert rel_max_err(got, reference_nslct(f, (m.a, m.b, m.c, m.d), wpts)) <= 1e-12
+    assert rel_max_err(got, nslct_direct(f, m, wpts)) <= 1e-12
 
 
 def test_direct_reads_no_plan():
