@@ -98,8 +98,24 @@ def _flat_points(meshes, counts: tuple[int, ...]) -> np.ndarray:
     return np.stack([np.broadcast_to(m, counts).ravel() for m in meshes], axis=-1)
 
 
+class _Magnitudes:
+    """|values| and |values|^2 of a value-holding object, taken on first read.
+
+    Every norm and power sum reads this one read-only pair, so reports that
+    share a gram take |V| once; the object then holds twice its own size.
+    """
+
+    @cached_property
+    def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        mags = np.abs(self.values)
+        squares = mags**2
+        mags.setflags(write=False)
+        squares.setflags(write=False)
+        return mags, squares
+
+
 @dataclass(frozen=True, eq=False)
-class SampledSignal:
+class SampledSignal(_Magnitudes):
     """Complex samples attached to their grid."""
 
     grid: Grid
@@ -186,7 +202,7 @@ def _freeze_values(obj, shape: tuple[int, ...], what: str):
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Magnitudes):
     """Transform values on a warped frequency lattice.
 
     Carries the matrix it was made under, so an inverse can refuse another
@@ -224,7 +240,7 @@ def shift_lattice(grid: Grid, stride: int) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Gram:
+class Gram(_Magnitudes):
     """Windowed-transform table indexed (shift u, frequency w).
 
     Like a spectrum it carries its matrix and signal grid; the stride fixes
@@ -286,14 +302,28 @@ def norm_l2(f: SampledSignal) -> float:
     return math.sqrt(max(inner(f, f).real, 0.0))
 
 
+def _abs_power(obj, p: float) -> np.ndarray:
+    """|values|^p of a signal, spectrum or gram, from its magnitudes.
+
+    p = 1 and p = 2 are the kept tables themselves; any other p is |V| ** p,
+    whose bytes differ from (|V|^2) ** (p / 2).
+    """
+    mags, squares = obj.magnitudes
+    if p == 1.0:
+        return mags
+    if p == 2.0:
+        return squares
+    return mags**p
+
+
 def lp_norm(obj, p: float) -> float:
     """Discrete L^p norm of a signal, spectrum or gram (p = inf for the sup)."""
-    mags = np.abs(obj.values)
     if p == math.inf:
+        mags = obj.magnitudes[0]
         return float(np.max(mags)) if mags.size else 0.0
     if not (p >= 1.0):
         raise BadParam(f"p = {p} is outside [1, inf]")
-    return float((obj.cell * np.sum(mags**p)) ** (1.0 / p))
+    return float((obj.cell * np.sum(_abs_power(obj, p))) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
-from .grids import Grid, Gram, SampledSignal, check_gram, inner, norm_l2, shift_lattice
+from .grids import Grid, Gram, SampledSignal, check_gram, inner, lp_norm, norm_l2, shift_lattice
 from .symplectic import FreeSymplecticMatrix
 from .transform import _CHUNK_POINTS, _amplitude, _plan
 
@@ -96,7 +96,7 @@ def _bound_and_sup(
     """(2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| and max |gram|."""
     check_gram(g, f.grid, m, wspec.stride)
     bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
-    return bound, float(np.max(np.abs(g.values)))
+    return bound, lp_norm(g, math.inf)
 
 
 def boundedness_margin(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
-from .grids import Gram, SampledSignal, check_gram, lp_norm, norm_l2
+from .grids import Gram, SampledSignal, _abs_power, check_gram, lp_norm, norm_l2
 from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
 
@@ -64,9 +64,10 @@ def _require_nonzero(f: SampledSignal) -> float:
     return nf
 
 
-def _energy(obj, weight=1.0) -> float:
-    """Weighted energy cell * sum |values|^2 * weight of a signal or gram."""
-    return float(obj.cell * np.sum(np.abs(obj.values) ** 2 * weight))
+def _energy(obj, weight=None) -> float:
+    """Energy cell * sum |values|^2, times weight when one is given, of a signal or gram."""
+    squares = _abs_power(obj, 2.0)
+    return float(obj.cell * np.sum(squares if weight is None else squares * weight))
 
 
 def dispersion_spatial(f: SampledSignal) -> float:
@@ -139,7 +140,7 @@ def pitt_report(
     check_gram(gram, f.grid, m, wspec.stride)
     _require_nonzero(f)
 
-    weight = 1.0
+    weight = None
     if alpha > 0.0:
         weight = _off_zero(_radius(gram.wgrid.point_meshes()), lambda r: r ** (-alpha))
     lhs = _energy(gram, weight)
@@ -165,7 +166,7 @@ def lieb_report(
         raise BadP(f"p = {p} must be finite and >= 2")
     nf = _require_nonzero(f)
     check_gram(gram, f.grid, m, wspec.stride)
-    raw = float(gram.cell * np.sum(np.abs(gram.values) ** p))
+    raw = float(gram.cell * np.sum(_abs_power(gram, p)))
     lhs = raw / (nf * math.sqrt(wspec.norm2)) ** p
     constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
     return UPReport("lieb", lhs, constant, constant, constant - lhs)

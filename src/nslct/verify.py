@@ -2,8 +2,9 @@
 
 Each suite produces flat records (both sides, constant, margin, tolerance,
 pass flag) so a run can be serialized, diffed and re-run bit-identically
-from the same seed.  Expensive grams are computed once per (signal, window,
-matrix) combination and shared by every family that needs them.
+from the same seed.  Each (signal, window, matrix) combination's gram is
+built once, shared by every wanted suite, and dropped before the next one,
+so a run holds one combination gram at a time.
 """
 from __future__ import annotations
 
@@ -75,17 +76,12 @@ def _identity(suite: str, name: str, params: str, lhs: float, rhs: float, tol: f
 
 @dataclass(frozen=True, eq=False)
 class _Combo:
-    """One (signal, window, matrix) instance and its gram."""
+    """One (signal, window, matrix) instance; its gram is built when visited."""
 
     params: str
     f: SampledSignal
     wspec: WindowSpec
     m: FreeSymplecticMatrix
-    gram: Gram
-
-
-def _combo(cid: str, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> _Combo:
-    return _Combo(f"combo={cid};n={m.n}", f, wspec, m, stnslct_gram(f, wspec, m))
 
 
 def _grid1() -> Grid:
@@ -132,6 +128,7 @@ def _matrix(i: int, n: int, rng: np.random.Generator):
 
 
 def _combos(seed: int) -> list[_Combo]:
+    """Every combo's inputs, drawn in one rng order; building a gram draws none."""
     rng = np.random.default_rng(seed)
     combos = []
     for i in range(20):
@@ -140,13 +137,13 @@ def _combos(seed: int) -> list[_Combo]:
         m, tag = _matrix(i, 1, rng)
         sigma_w = 1.0 if i % 2 == 0 else 1.5
         wspec = WindowSpec(synthesize("gaussian", grid, sigma=sigma_w), stride=4)
-        combos.append(_combo(f"n1-{i:02d}-{tag}", f, wspec, m))
+        combos.append(_Combo(f"combo=n1-{i:02d}-{tag};n=1", f, wspec, m))
     for i in range(4):
         grid = _grid2()
         f = _signal(i, grid, rng)
         m, tag = _matrix(i if i < 3 else 4, 2, rng)
         wspec = WindowSpec(synthesize("gaussian", grid, sigma=1.4), stride=2)
-        combos.append(_combo(f"n2-{i:02d}-{tag}", f, wspec, m))
+        combos.append(_Combo(f"combo=n2-{i:02d}-{tag};n=2", f, wspec, m))
     return combos
 
 
@@ -170,15 +167,19 @@ def _suite_parseval(seed: int) -> list[Record]:
     return out
 
 
-def _suite_moyal(combos: list[_Combo], seed: int) -> list[Record]:
-    out = [_identity("moyal", "moyal-energy", c.params, moyal(c.gram, c.gram).real,
-                     norm_l2(c.f) ** 2 * c.wspec.norm2, TOL_MOYAL) for c in combos]
+def _moyal_energy(c: _Combo, gram: Gram) -> Record:
+    return _identity("moyal", "moyal-energy", c.params, moyal(gram, gram).real,
+                     norm_l2(c.f) ** 2 * c.wspec.norm2, TOL_MOYAL)
 
+
+def _moyal_pairs(seed: int) -> list[Record]:
+    """Cross pairings of orthogonal signals or windows, which must vanish."""
     grid = _grid1()
     even = synthesize("gaussian", grid, sigma=1.0)
     odd = _odd_partner(even)
     window = WindowSpec(synthesize("gaussian", grid, sigma=1.2), stride=2)
     rng = np.random.default_rng(seed + 2)
+    out = []
     for i, m in enumerate((fourier(1), frft(0.7), fresnel(1.5), random_free_matrix(rng, 1))):
         if i % 2 == 0:
             g1 = stnslct_gram(even, window, m)
@@ -197,21 +198,20 @@ def _suite_moyal(combos: list[_Combo], seed: int) -> list[Record]:
     return out
 
 
-def _boundedness(c: _Combo) -> UPReport:
+def _boundedness(c: _Combo, gram: Gram) -> UPReport:
     """sup |gram| against the bound of boundedness_margin, one pass over the gram."""
-    bound, sup = _bound_and_sup(c.gram, c.f, c.wspec, c.m)
+    bound, sup = _bound_and_sup(gram, c.f, c.wspec, c.m)
     margin = bound - sup
     return UPReport("boundedness", sup, sup + margin, (2.0 * math.pi) ** (-c.m.n / 2.0), margin)
 
 
-def _suite_bounded(combos: list[_Combo]) -> list[Record]:
-    out = [_ineq("bounded", _boundedness(c), c.params) for c in combos]
-    # matched Gaussians meet the bound at (w, u) = (0, 0) under the plain
-    # Fourier matrix; the sup then sits on the bound itself
+def _matched_gaussian() -> list[Record]:
+    """Matched Gaussians meet the bound at (w, u) = (0, 0) under the plain
+    Fourier matrix; the sup then sits on the bound itself."""
     f = synthesize("gaussian", _grid1(), sigma=1.0)
-    matched = _combo("matched", f, WindowSpec(f, stride=1), fourier(1))
-    out.append(_equality("bounded", _boundedness(matched), "matched-gaussian"))
-    return out
+    c = _Combo("matched-gaussian", f, WindowSpec(f, stride=1), fourier(1))
+    rep = _boundedness(c, stnslct_gram(c.f, c.wspec, c.m))
+    return [_equality("bounded", rep, c.params)]
 
 
 # per inequality family: (report, keyword arguments, params suffix, record
@@ -236,9 +236,21 @@ _FAMILIES = {
 }
 
 
+def _on_combo(name: str, c: _Combo, gram: Gram) -> list[Record]:
+    """One suite's records on one combo and its gram."""
+    if name == "moyal":
+        return [_moyal_energy(c, gram)]
+    if name == "bounded":
+        return [_ineq("bounded", _boundedness(c, gram), c.params)]
+    return [rule(name, report(c.f, c.wspec, c.m, gram=gram, **kwargs), c.params + suffix)
+            for report, kwargs, suffix, rule in _FAMILIES[name]]
+
+
 def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]]:
     """Run one suite (or "all"); returns records and per-suite margin floors.
 
+    Each combo is visited once: its gram is built, every wanted suite takes
+    its records from it, and it is dropped before the next one is built.
     The floors are min(margin / scale) across a suite's records: the
     empirical slack the printed constants leave on this seeded family.
     """
@@ -248,21 +260,20 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
             raise BadParam(f"unknown suite {name!r}")
     seed = check_seed(seed)
 
-    records: list[Record] = []
-    needs_combos = any(name != "parseval" for name in wanted)
-    combos = _combos(seed) if needs_combos else []
-    for name in wanted:
-        if name == "parseval":
-            records.extend(_suite_parseval(seed))
-        elif name == "moyal":
-            records.extend(_suite_moyal(combos, seed))
-        elif name == "bounded":
-            records.extend(_suite_bounded(combos))
-        else:
-            for c in combos:
-                for report, kwargs, suffix, rule in _FAMILIES[name]:
-                    rep = report(c.f, c.wspec, c.m, gram=c.gram, **kwargs)
-                    records.append(rule(name, rep, c.params + suffix))
+    on_combos = [name for name in wanted if name != "parseval"]
+    by_suite: dict[str, list[Record]] = {name: [] for name in wanted}
+    if "parseval" in wanted:
+        by_suite["parseval"] = _suite_parseval(seed)
+    for c in _combos(seed) if on_combos else ():
+        gram = stnslct_gram(c.f, c.wspec, c.m)
+        for name in on_combos:
+            by_suite[name].extend(_on_combo(name, c, gram))
+        del gram  # freed before the next combo's gram is built
+    if "moyal" in wanted:
+        by_suite["moyal"].extend(_moyal_pairs(seed))
+    if "bounded" in wanted:
+        by_suite["bounded"].extend(_matched_gaussian())
+    records = [rec for name in wanted for rec in by_suite[name]]
 
     floors: dict[str, float] = {}
     for rec in records:

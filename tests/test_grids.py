@@ -9,6 +9,7 @@ from nslct import (
     NSLCTError,
     SampledSignal,
     WarpedGrid,
+    WindowSpec,
     frequency_grid,
     inner,
     lp_norm,
@@ -16,6 +17,7 @@ from nslct import (
     nslct_fast,
     output_lattice,
     preset,
+    stnslct_gram,
     synthesize,
 )
 
@@ -184,6 +186,27 @@ def test_lp_norm_limits():
     assert lp_norm(f, np.inf) == pytest.approx(np.max(np.abs(f.values)))
     with pytest.raises(BadParam):
         lp_norm(f, 0.5)
+
+
+def test_magnitudes_are_bit_equal_read_only_and_taken_once():
+    g = grid2()
+    f = synthesize("chirp", g, freq=(1.0, -0.5), rate=(0.3, 0.2), sigma=1.5)
+    m = preset("frft", 2, alpha=0.9)
+    spec = nslct_fast(f, m)
+    gram = stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=4), m)
+    for obj in (f, spec, gram):
+        mags, squares = obj.magnitudes
+        assert obj.magnitudes[0] is mags and obj.magnitudes[1] is squares
+        want = np.abs(obj.values)
+        assert mags.tobytes() == want.tobytes()
+        assert squares.tobytes() == (want**2).tobytes()
+        for table in (mags, squares):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        # the tables give every norm the bytes of a fresh |V| ** p
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+            assert lp_norm(obj, p) == float((obj.cell * np.sum(want**p)) ** (1.0 / p))
+        assert lp_norm(obj, np.inf) == float(np.max(want))
 
 
 @settings(max_examples=40, deadline=None)

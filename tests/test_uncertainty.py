@@ -23,11 +23,12 @@ from nslct import (
     pitt_constant,
     pitt_report,
     preset,
+    random_free_matrix,
     stnslct_gram,
     synthesize,
 )
 
-from helpers import gaussian_1d, grid1
+from helpers import gaussian_1d, grid1, grid2
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,3 +205,38 @@ def test_reports_on_noise_signal_all_pass():
     for rep in reports:
         assert rep.passed(), rep
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+
+
+def _noise_case(n: int):
+    """A seeded (f, wspec, m, gram), built afresh on each call."""
+    g = grid1() if n == 1 else grid2()
+    f = synthesize("noise", g, seed=7, band=0.4)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.3), stride=4)
+    m = random_free_matrix(np.random.default_rng(11), n)
+    return f, wspec, m, stnslct_gram(f, wspec, m)
+
+
+COLD_WARM_CALLS = [
+    lambda f, w, m, g: heisenberg_report(f, w, m, gram=g),
+    lambda f, w, m, g: pitt_report(f, w, m, alpha=0.0, gram=g),
+    lambda f, w, m, g: pitt_report(f, w, m, alpha=0.5, gram=g),
+    lambda f, w, m, g: lieb_report(f, w, m, p=2.0, gram=g),
+    lambda f, w, m, g: lieb_report(f, w, m, p=3.0, gram=g),
+    lambda f, w, m, g: lieb_report(f, w, m, p=4.0, gram=g),
+    lambda f, w, m, g: hausdorff_young_report(f, w, m, p=1.0, gram=g),
+    lambda f, w, m, g: hausdorff_young_report(f, w, m, p=1.5, gram=g),
+    lambda f, w, m, g: hausdorff_young_report(f, w, m, p=2.0, gram=g),
+    lambda f, w, m, g: log_report(f, w, m, gram=g),
+    lambda f, w, m, g: boundedness_margin(g, f, w, m),
+    lambda f, w, m, g: concentration(f, g, [(-2.0, 2.0)] * m.n, [(-1.0, 1.0)] * m.n, m),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reports_agree_on_cold_and_warm_magnitude_tables(n):
+    cold = [call(*_noise_case(n)) for call in COLD_WARM_CALLS]
+    shared = _noise_case(n)
+    for call in COLD_WARM_CALLS:
+        call(*shared)
+    warm = [call(*shared) for call in COLD_WARM_CALLS]
+    assert warm == cold

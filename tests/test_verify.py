@@ -79,3 +79,20 @@ def test_negative_seeds_are_refused_before_any_work(monkeypatch):
     for seed in (-1, 1.5):
         with pytest.raises(BadParam, match="seed"):
             synthesize("noise", Grid.centered(16, 0.5), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_all_equals_each_suite_run_alone(seed):
+    records, floors = run_suite("all", seed)
+    alone = [run_suite(name, seed) for name in SUITE_NAMES]
+    assert records == [r for recs, _ in alone for r in recs]
+    assert floors == {k: v for _, fl in alone for k, v in fl.items()}
+
+
+def test_parseval_alone_builds_no_gram(monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("parseval needs no gram")
+
+    monkeypatch.setattr(nslct.verify, "stnslct_gram", no_gram)
+    records, _ = run_suite("parseval", 1)
+    assert len(records) == 20 and all(r.suite == "parseval" for r in records)
