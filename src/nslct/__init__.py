@@ -34,7 +34,6 @@ from .grids import (
 )
 from .shorttime import (
     WindowSpec,
-    boundedness_margin,
     moyal,
     stnslct_gram,
     stnslct_reconstruct,
@@ -52,6 +51,8 @@ from .transform import kernel_eval, nslct_direct, nslct_fast, nslct_inverse, spe
 from .uncertainty import (
     ConcentrationSets,
     UPReport,
+    boundedness_margin,
+    boundedness_report,
     concentration,
     dispersion_spatial,
     dispersion_spectral,
@@ -71,7 +72,8 @@ __all__ = [
     "CoverageError", "DimensionError", "FreeSymplecticMatrix",
     "Gram", "Grid", "GridMismatch", "NSLCTError", "Record", "SampledSignal",
     "SingularB", "Spectrum", "SUITE_NAMES", "SymplecticViolation", "UPReport",
-    "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin", "compose",
+    "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin",
+    "boundedness_report", "compose",
     "concentration", "dispersion_spatial", "dispersion_spectral",
     "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
     "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",

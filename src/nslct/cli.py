@@ -69,6 +69,8 @@ def _cmd_invert(args) -> int:
     kind = nio.read_kind(args.input)
     m = nio.read_matrix(args.matrix)
     if kind == "spectrum":
+        if args.window or args.denominator:
+            raise UsageError("--window and --denominator apply to gram input only")
         spec = nio.read_spectrum(args.input)
         rec = nslct_inverse(spec, m)
     elif kind == "gram":
@@ -77,7 +79,7 @@ def _cmd_invert(args) -> int:
         gram, _ = nio.read_gram(args.input)
         window = nio.read_signal(args.window)
         wspec = WindowSpec(window, stride=gram.stride)
-        rec = stnslct_reconstruct(gram, wspec, m, denominator=args.denominator)
+        rec = stnslct_reconstruct(gram, wspec, m, denominator=args.denominator or "pointwise")
     else:
         raise UsageError(f"cannot invert a file of kind {kind!r}")
     nio.write_signal(args.out, rec)
@@ -142,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--window", help="window signal file (gram input only)")
     p.add_argument("--denominator", choices=("pointwise", "constant"),
-                   default="pointwise")
+                   help="overlap-add normalization (gram input only; default pointwise)")
     p.add_argument("--reference", help="signal file to report a residual against")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_invert)

@@ -302,28 +302,24 @@ def norm_l2(f: SampledSignal) -> float:
     return math.sqrt(max(inner(f, f).real, 0.0))
 
 
-def _abs_power(obj, p: float) -> np.ndarray:
-    """|values|^p of a signal, spectrum or gram, from its magnitudes.
+def _power_sum(obj, p: float, weight=None) -> float:
+    """cell * sum |values|^p, times weight if given, of a signal, spectrum or gram.
 
-    p = 1 and p = 2 are the kept tables themselves; any other p is |V| ** p,
-    whose bytes differ from (|V|^2) ** (p / 2).
+    p = 1 and p = 2 read the kept magnitudes themselves; any other p is
+    |V| ** p, whose bytes differ from (|V|^2) ** (p / 2).
     """
     mags, squares = obj.magnitudes
-    if p == 1.0:
-        return mags
-    if p == 2.0:
-        return squares
-    return mags**p
+    powers = mags if p == 1.0 else squares if p == 2.0 else mags**p
+    return float(obj.cell * np.sum(powers if weight is None else powers * weight))
 
 
 def lp_norm(obj, p: float) -> float:
     """Discrete L^p norm of a signal, spectrum or gram (p = inf for the sup)."""
     if p == math.inf:
-        mags = obj.magnitudes[0]
-        return float(np.max(mags)) if mags.size else 0.0
+        return float(np.max(obj.magnitudes[0]))
     if not (p >= 1.0):
         raise BadParam(f"p = {p} is outside [1, inf]")
-    return float((obj.cell * np.sum(_abs_power(obj, p))) ** (1.0 / p))
+    return _power_sum(obj, p) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

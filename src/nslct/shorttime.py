@@ -1,4 +1,4 @@
-"""Short-time variant: windowed grams, bounds, reconstruction, pairings.
+"""Short-time variant: windowed grams, reconstruction, pairings.
 
 A gram tabulates, for every shift u on a stride-s sublattice of the signal
 grid, the transform of f(x) * conj(phi(x - u)).  Window shifts are whole
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
-from .grids import Grid, Gram, SampledSignal, check_gram, inner, lp_norm, norm_l2, shift_lattice
+from .grids import Grid, Gram, SampledSignal, check_gram, inner, shift_lattice
 from .symplectic import FreeSymplecticMatrix
-from .transform import _CHUNK_POINTS, _amplitude, _plan
+from .transform import _CHUNK_POINTS, _plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +88,6 @@ def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -
             np.multiply(f.values, conj_tile[sl], out=row)
         plan.forward_values(part, out=part)
     return Gram(m, f.grid, wspec.stride, vals)
-
-
-def _bound_and_sup(
-    g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
-) -> tuple[float, float]:
-    """(2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| and max |gram|."""
-    check_gram(g, f.grid, m, wspec.stride)
-    bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
-    return bound, lp_norm(g, math.inf)
-
-
-def boundedness_margin(
-    g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
-) -> float:
-    """Sup-norm slack: (2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi|| - max |gram|."""
-    bound, sup = _bound_and_sup(g, f, wspec, m)
-    return bound - sup
 
 
 def stnslct_reconstruct(

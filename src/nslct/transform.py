@@ -37,7 +37,7 @@ from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 # On 2 shared CPUs, gram chunks of 2^13, 2^15, 2^16 and 2^17 points timed
 # within noise of each other on a 2048-point and a 64^2 gram; 2^14 was 1.5x
 # slower on the 2048-point gram, and one call over the whole stack of rows
-# 1.2-1.5x slower on both (see ROADMAP item 1).
+# 1.2-1.5x slower on both (see ROADMAP, "Do not retry", item 4).
 _CHUNK_POINTS = 2**15
 
 

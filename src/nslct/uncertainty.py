@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
-from .grids import Gram, SampledSignal, _abs_power, check_gram, lp_norm, norm_l2
+from .grids import Gram, SampledSignal, _power_sum, check_gram, lp_norm, norm_l2
 from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
+from .transform import _amplitude
 
 
 TOL_INEQUALITY = 1e-9  # see UPReport.passed
@@ -64,21 +65,15 @@ def _require_nonzero(f: SampledSignal) -> float:
     return nf
 
 
-def _energy(obj, weight=None) -> float:
-    """Energy cell * sum |values|^2, times weight when one is given, of a signal or gram."""
-    squares = _abs_power(obj, 2.0)
-    return float(obj.cell * np.sum(squares if weight is None else squares * weight))
-
-
 def dispersion_spatial(f: SampledSignal) -> float:
     """Second moment vol * sum |x|^2 |f|^2 about the coordinate origin."""
     _require_nonzero(f)
-    return _energy(f, sum(m * m for m in f.grid.mesh()))
+    return _power_sum(f, 2.0, sum(m * m for m in f.grid.mesh()))
 
 
 def dispersion_spectral(g: Gram) -> float:
     """Second moment of the gram, sum |w|^2 |V|^2 over (u, w) cells."""
-    return _energy(g, sum(m * m for m in g.wgrid.point_meshes()))
+    return _power_sum(g, 2.0, sum(m * m for m in g.wgrid.point_meshes()))
 
 
 def _radius(meshes) -> np.ndarray:
@@ -143,8 +138,8 @@ def pitt_report(
     weight = None
     if alpha > 0.0:
         weight = _off_zero(_radius(gram.wgrid.point_meshes()), lambda r: r ** (-alpha))
-    lhs = _energy(gram, weight)
-    moment = _energy(f, _radius(f.grid.mesh()) ** alpha)
+    lhs = _power_sum(gram, 2.0, weight)
+    moment = _power_sum(f, 2.0, _radius(f.grid.mesh()) ** alpha)
     rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
     return UPReport("pitt", lhs, rhs, constant, rhs - lhs)
 
@@ -166,8 +161,7 @@ def lieb_report(
         raise BadP(f"p = {p} must be finite and >= 2")
     nf = _require_nonzero(f)
     check_gram(gram, f.grid, m, wspec.stride)
-    raw = float(gram.cell * np.sum(_abs_power(gram, p)))
-    lhs = raw / (nf * math.sqrt(wspec.norm2)) ** p
+    lhs = _power_sum(gram, p) / (nf * math.sqrt(wspec.norm2)) ** p
     constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
     return UPReport("lieb", lhs, constant, constant, constant - lhs)
 
@@ -209,12 +203,37 @@ def log_report(
     nf = _require_nonzero(f)
     check_gram(gram, f.grid, m, wspec.stride)
 
-    wterm = _energy(gram, _off_zero(_radius(gram.wgrid.base.mesh()), np.log))
-    xterm = _energy(f, _off_zero(_radius(f.grid.mesh()), np.log))
+    wterm = _power_sum(gram, 2.0, _off_zero(_radius(gram.wgrid.base.mesh()), np.log))
+    xterm = _power_sum(f, 2.0, _off_zero(_radius(f.grid.mesh()), np.log))
     lhs = wterm + wspec.norm2 * xterm
     constant = _DIGAMMA_HALF_N[m.n] - math.log(math.pi)
     rhs = constant * wspec.norm2 * nf**2
     return UPReport("logarithmic", lhs, rhs, constant, lhs - rhs)
+
+
+def boundedness_report(
+    f: SampledSignal,
+    wspec: WindowSpec,
+    m: FreeSymplecticMatrix,
+    gram: Gram,
+) -> UPReport:
+    """max |gram| against the bound (2 pi)^(-n/2) |det B|^(-1/2) ||f|| ||phi||.
+
+    The rhs is written as sup + margin, not as the bound itself, and the
+    two can differ in the last bit.
+    """
+    check_gram(gram, f.grid, m, wspec.stride)
+    bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
+    sup = lp_norm(gram, math.inf)
+    margin = bound - sup
+    return UPReport("boundedness", sup, sup + margin, (2.0 * math.pi) ** (-m.n / 2.0), margin)
+
+
+def boundedness_margin(
+    g: Gram, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
+) -> float:
+    """Sup-norm slack: the margin of boundedness_report(f, wspec, m, g)."""
+    return boundedness_report(f, wspec, m, g).margin
 
 
 def _check_box(box, grid, name: str):
@@ -253,8 +272,8 @@ def concentration(
     eb = _check_box(e_box, g.wgrid.base, "E")
 
     return ConcentrationSets(
-        f_tail=_energy(f, ~_inside(f.grid.mesh(), sb)),
-        gram_tail=_energy(g, ~_inside(g.wgrid.base.mesh(), eb)),
-        f_total=_energy(f),
-        gram_total=_energy(g),
+        f_tail=_power_sum(f, 2.0, ~_inside(f.grid.mesh(), sb)),
+        gram_tail=_power_sum(g, 2.0, ~_inside(g.wgrid.base.mesh(), eb)),
+        f_total=_power_sum(f, 2.0),
+        gram_total=_power_sum(g, 2.0),
     )

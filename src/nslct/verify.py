@@ -8,14 +8,14 @@ so a run holds one combination gram at a time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import BadParam
-from .grids import Grid, Gram, SampledSignal, check_seed, lp_norm, norm_l2, synthesize
-from .shorttime import WindowSpec, _bound_and_sup, moyal, stnslct_gram
+from .grids import Grid, Gram, SampledSignal, check_gram, check_seed, lp_norm, norm_l2, synthesize
+from .shorttime import WindowSpec, moyal, stnslct_gram
 from .symplectic import (
     FreeSymplecticMatrix,
     fourier,
@@ -28,6 +28,7 @@ from .transform import nslct_fast
 from .uncertainty import (
     TOL_INEQUALITY,
     UPReport,
+    boundedness_report,
     hausdorff_young_report,
     heisenberg_report,
     lieb_report,
@@ -68,10 +69,15 @@ def _equality(suite: str, rep: UPReport, params: str) -> Record:
                   rep.constant, rep.margin, TOL_EQUALITY, ok)
 
 
-def _identity(suite: str, name: str, params: str, lhs: float, rhs: float, tol: float) -> Record:
-    """An identity lhs = rhs: margin -|lhs - rhs|, passing within tol * rhs."""
-    gap = abs(lhs - rhs)
-    return Record(suite, name, params, lhs, rhs, 1.0, -gap, tol, gap <= tol * rhs)
+def _identity_report(name: str, lhs: float, rhs: float) -> UPReport:
+    """An identity lhs = rhs as a report: constant 1, margin -|lhs - rhs|."""
+    return UPReport(name, lhs, rhs, 1.0, -abs(lhs - rhs))
+
+
+def _identity(suite: str, rep: UPReport, params: str, tol: float) -> Record:
+    """An identity report, passing when |lhs - rhs| <= tol * rhs."""
+    return Record(suite, rep.name, params, rep.lhs, rep.rhs, rep.constant,
+                  rep.margin, tol, -rep.margin <= tol * rep.rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +168,18 @@ def _suite_parseval(seed: int) -> list[Record]:
         grid = _grid1() if n == 1 else _grid2()
         f = _signal(i, grid, rng)
         m, tag = _matrix(i, n, rng)
-        out.append(_identity("parseval", "parseval", f"i={i};n={n};matrix={tag}",
-                             lp_norm(nslct_fast(f, m), 2), norm_l2(f), TOL_PARSEVAL))
+        rep = _identity_report("parseval", lp_norm(nslct_fast(f, m), 2), norm_l2(f))
+        out.append(_identity("parseval", rep, f"i={i};n={n};matrix={tag}", TOL_PARSEVAL))
     return out
 
 
-def _moyal_energy(c: _Combo, gram: Gram) -> Record:
-    return _identity("moyal", "moyal-energy", c.params, moyal(gram, gram).real,
-                     norm_l2(c.f) ** 2 * c.wspec.norm2, TOL_MOYAL)
+def _moyal_energy(
+    f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, gram: Gram
+) -> UPReport:
+    """Moyal's formula on the diagonal: <gram, gram> = ||f||^2 ||phi||^2."""
+    check_gram(gram, f.grid, m, wspec.stride)
+    return _identity_report("moyal-energy", moyal(gram, gram).real,
+                            norm_l2(f) ** 2 * wspec.norm2)
 
 
 def _moyal_pairs(seed: int) -> list[Record]:
@@ -198,26 +208,21 @@ def _moyal_pairs(seed: int) -> list[Record]:
     return out
 
 
-def _boundedness(c: _Combo, gram: Gram) -> UPReport:
-    """sup |gram| against the bound of boundedness_margin, one pass over the gram."""
-    bound, sup = _bound_and_sup(gram, c.f, c.wspec, c.m)
-    margin = bound - sup
-    return UPReport("boundedness", sup, sup + margin, (2.0 * math.pi) ** (-c.m.n / 2.0), margin)
-
-
 def _matched_gaussian() -> list[Record]:
     """Matched Gaussians meet the bound at (w, u) = (0, 0) under the plain
     Fourier matrix; the sup then sits on the bound itself."""
     f = synthesize("gaussian", _grid1(), sigma=1.0)
-    c = _Combo("matched-gaussian", f, WindowSpec(f, stride=1), fourier(1))
-    rep = _boundedness(c, stnslct_gram(c.f, c.wspec, c.m))
-    return [_equality("bounded", rep, c.params)]
+    wspec, m = WindowSpec(f, stride=1), fourier(1)
+    rep = boundedness_report(f, wspec, m, stnslct_gram(f, wspec, m))
+    return [_equality("bounded", rep, "matched-gaussian")]
 
 
-# per inequality family: (report, keyword arguments, params suffix, record
-# rule), applied in this order to each combo's shared gram; the suffixes are
+# per combo suite: (report, keyword arguments, params suffix, record rule),
+# applied in this order to each combo's shared gram; the suffixes are
 # written out because reports carry them verbatim
 _FAMILIES = {
+    "moyal": ((_moyal_energy, {}, "", partial(_identity, tol=TOL_MOYAL)),),
+    "bounded": ((boundedness_report, {}, "", _ineq),),
     "heisenberg": ((heisenberg_report, {}, "", _ineq),),
     "pitt": (
         (pitt_report, {"alpha": 0.0}, ";alpha=0", _equality),
@@ -234,16 +239,6 @@ _FAMILIES = {
     ),
     "log": ((log_report, {}, "", _ineq),),
 }
-
-
-def _on_combo(name: str, c: _Combo, gram: Gram) -> list[Record]:
-    """One suite's records on one combo and its gram."""
-    if name == "moyal":
-        return [_moyal_energy(c, gram)]
-    if name == "bounded":
-        return [_ineq("bounded", _boundedness(c, gram), c.params)]
-    return [rule(name, report(c.f, c.wspec, c.m, gram=gram, **kwargs), c.params + suffix)
-            for report, kwargs, suffix, rule in _FAMILIES[name]]
 
 
 def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]]:
@@ -267,7 +262,9 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
     for c in _combos(seed) if on_combos else ():
         gram = stnslct_gram(c.f, c.wspec, c.m)
         for name in on_combos:
-            by_suite[name].extend(_on_combo(name, c, gram))
+            by_suite[name].extend(
+                rule(name, report(c.f, c.wspec, c.m, gram=gram, **kwargs), c.params + suffix)
+                for report, kwargs, suffix, rule in _FAMILIES[name])
         del gram  # freed before the next combo's gram is built
     if "moyal" in wanted:
         by_suite["moyal"].extend(_moyal_pairs(seed))

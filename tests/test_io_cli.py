@@ -492,6 +492,15 @@ def test_exit_codes(workdir):
     assert rc == 2
     assert err.startswith("UsageError: --wpoints requires --method direct")
 
+    # a spectrum inverts without a window, so gram-only options are refused
+    nio.write_spectrum(d / "F.bin", nslct_fast(f, preset("frft", 1, alpha=0.7)))
+    for extra in (("--window", d / "w.txt"), ("--denominator", "constant")):
+        rc, _, err = run_cli("invert", "--input", d / "F.bin", "--matrix", d / "m.txt",
+                             *extra, "--out", d / "x.txt")
+        assert rc == 2, extra
+        assert err.startswith("UsageError: --window and --denominator apply to gram input only")
+    assert not (d / "x.txt").exists()
+
     rc, _, err = run_cli("invert", "--input", d / "f.txt", "--matrix", d / "m.txt",
                          "--out", d / "x.txt")
     assert rc == 2

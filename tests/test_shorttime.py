@@ -13,6 +13,7 @@ from nslct import (
     WindowSpec,
     ZeroSignal,
     boundedness_margin,
+    boundedness_report,
     inner,
     moyal,
     norm_l2,
@@ -135,6 +136,12 @@ def test_boundedness_margin_nonnegative_and_tight_when_matched():
     bound = TWO_PI**-0.5 * norm_l2(f) * np.sqrt(wspec.norm2)
     assert margin >= -1e-9 * bound
     assert margin <= 1e-6 * bound  # matched Gaussians meet the bound at (0, 0)
+    # the margin is the report's, and the report's rhs is sup + margin
+    rep = boundedness_report(f, wspec, m, gram)
+    assert rep.lhs == np.max(np.abs(gram.values))
+    assert rep.rhs == rep.lhs + rep.margin
+    assert margin == rep.margin
+    assert rep.constant == TWO_PI**-0.5
 
 
 def test_reconstruction_both_denominators():

@@ -12,6 +12,7 @@ from nslct import (
     WindowSpec,
     ZeroSignal,
     boundedness_margin,
+    boundedness_report,
     concentration,
     dispersion_spatial,
     dispersion_spectral,
@@ -172,6 +173,7 @@ FOREIGN_GRAM_CALLS = {
     "hausdorff-young": lambda f, wspec, m, g: hausdorff_young_report(f, wspec, m, 1.5, gram=g),
     "log": lambda f, wspec, m, g: log_report(f, wspec, m, gram=g),
     "boundedness": lambda f, wspec, m, g: boundedness_margin(g, f, wspec, m),
+    "boundedness_report": lambda f, wspec, m, g: boundedness_report(f, wspec, m, gram=g),
 }
 
 
@@ -228,6 +230,7 @@ COLD_WARM_CALLS = [
     lambda f, w, m, g: hausdorff_young_report(f, w, m, p=2.0, gram=g),
     lambda f, w, m, g: log_report(f, w, m, gram=g),
     lambda f, w, m, g: boundedness_margin(g, f, w, m),
+    lambda f, w, m, g: boundedness_report(f, w, m, gram=g),
     lambda f, w, m, g: concentration(f, g, [(-2.0, 2.0)] * m.n, [(-1.0, 1.0)] * m.n, m),
 ]
 
