@@ -69,12 +69,12 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @property
     def vol(self) -> float:
         """Volume of one sample cell."""
-        return float(np.prod(self.spacing))
+        return float(math.prod(self.spacing))
 
     def axis(self, j: int) -> np.ndarray:
         return self.origin[j] + self.spacing[j] * np.arange(self.counts[j])
@@ -170,13 +170,17 @@ class WarpedGrid:
 
     def point_meshes(self) -> list[np.ndarray]:
         """Warped coordinates sum_j L_ij omega_j over the base grid's axes."""
-        base = self.base.mesh()
-        n = self.base.n
-        return [sum(self.warp[i, j] * base[j] for j in range(n)) for i in range(n)]
+        return _warp_meshes(self.warp, self.base.mesh())
 
     def flat_points(self) -> np.ndarray:
         """All lattice points, row-major, as a (size, n) array."""
         return _flat_points(self.point_meshes(), self.base.counts)
+
+
+def _warp_meshes(warp: np.ndarray, meshes: list[np.ndarray]) -> list[np.ndarray]:
+    """sum_j L_ij m_j for each i over broadcastable coordinate axes m_j."""
+    n = len(meshes)
+    return [sum(warp[i, j] * meshes[j] for j in range(n)) for i in range(n)]
 
 
 def output_lattice(grid: Grid, m: FreeSymplecticMatrix) -> WarpedGrid:

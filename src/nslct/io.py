@@ -21,6 +21,7 @@ observe a half-written file.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -264,7 +265,7 @@ def _read_binary(path: str, kind: str) -> tuple[dict, Grid, FreeSymplecticMatrix
 
 
 def _values(payload: bytes, shape: tuple[int, ...], kind: str) -> np.ndarray:
-    want = int(np.prod(shape)) * np.dtype(PAYLOAD).itemsize
+    want = math.prod(shape) * np.dtype(PAYLOAD).itemsize
     if len(payload) != want:
         raise ParseError(f"{kind} payload holds {len(payload)} bytes, expected {want}")
     values = np.frombuffer(payload, dtype=PAYLOAD).reshape(shape)

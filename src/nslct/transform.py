@@ -16,7 +16,8 @@ The two chirps of a (matrix, grid) pair form its plan.  A plan is built once
 per matrix object and grid, shared by the forward and inverse transforms and
 the short-time gram and reconstruction, and lives as long as its matrix.  It
 transforms one grid or a stack of them over the last n axes, and folds the
-fftshift into the output factor.
+fftshift into the output factor.  What a plan reads of its grid alone is
+built once per grid and shared by the plans of every matrix on it.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadParam, GridMismatch
-from .grids import Grid, SampledSignal, Spectrum, check_dimension, output_lattice
+from .grids import Grid, SampledSignal, Spectrum, _warp_meshes, check_dimension, frequency_grid
 from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 
 # Points per chunk (512 KB of complex128): the short-time gram and its
@@ -143,9 +144,59 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     return out
 
 
+class _GridAxes:
+    """What a plan reads of its grid alone, built once per grid (_grids).
+
+    Per axis, as broadcastable N_j-long arrays (Grid.mesh layout): the
+    sample axis x_j, the FFT-frequency axis omega_j (frequency_grid's) and
+    the carrier omega_j o_j; and the cell volume, the fftshift quadrant
+    pairs and the FFT pair.  Plans under every matrix on the grid share it,
+    so every array is read-only, and it holds no full-grid array.
+    """
+
+    def __init__(self, grid: Grid):
+        self.xs = grid.mesh()
+        self.omegas = frequency_grid(grid).mesh()
+        self.carriers = [om * o for om, o in zip(self.omegas, grid.origin)]
+        for arr in (*self.xs, *self.omegas, *self.carriers):
+            arr.setflags(write=False)
+        self.vol = grid.vol
+        # (src, dst) pairs of the 2^n quadrant moves of the fftshift: counts
+        # are even, so it swaps the halves of every axis and is its own
+        # inverse; the leading ellipsis indexes one grid or a stack of them
+        halves = [(slice(N // 2, None), slice(None, N // 2)) for N in grid.counts]
+        self.quadrants = [
+            ((..., *src), (..., *dst))
+            for src, dst in zip(itertools.product(*halves),
+                                itertools.product(*(h[::-1] for h in halves)))
+        ]
+        # the FFT over the last n axes: in 1-D np.fft.fft gives fftn's bytes
+        # without its argument handling (ifft2 drops out=)
+        self.fft, self.ifft = (np.fft.fft, np.fft.ifft) if grid.n == 1 else (
+            partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
+
+
+def _recent(store: dict, key, build, bound: int):
+    """store[key], made by build() on a miss; store keeps its bound most
+    recently used entries, least recent first."""
+    value = store.pop(key, None)
+    if value is None:
+        value = build()
+        if len(store) >= bound:
+            del store[next(iter(store))]
+    store[key] = value
+    return value
+
+
+# Grid records, keyed by grid like the plans.  Each holds a few N_j-long
+# arrays per axis, kilobytes even at 512^2.
+_GRIDS_KEPT = 8
+_grids: dict = {}
+
+
 class _FastPlan:
     """Precomputed pointwise factors of the chirp-FFT-chirp pipeline, read off
-    broadcastable coordinate axes (Grid.mesh, WarpedGrid.point_meshes).
+    the grid's shared axes (_GridAxes).
 
     Built once per (matrix object, grid) by _plan and shared by every call
     under that pair, so both arrays are read-only.  It holds no reference to
@@ -156,29 +207,18 @@ class _FastPlan:
     """
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
-        n, lattice = grid.n, output_lattice(grid, m)
-        self.chirp = _chirp(grid.mesh(), m.b_inva)
-        ws = lattice.point_meshes()
+        check_dimension(grid, m)
+        axes = _recent(_grids, grid, lambda: _GridAxes(grid), _GRIDS_KEPT)
+        self.chirp = _chirp(axes.xs, m.b_inva)
+        ws = _warp_meshes(m.b, axes.omegas)
         phase = 0.5 * _form(ws, m.db_inv, ws)
         del ws  # freed before the carrier omega . x_0 and the exp
-        phase -= sum(om * o for om, o in zip(lattice.base.mesh(), grid.origin))
+        phase -= sum(axes.carriers)
         self.post = _unit_phase(phase)
-        self.post *= _amplitude(m, grid.vol)
+        self.post *= _amplitude(m, axes.vol)
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)
-        # (src, dst) pairs of the 2^n quadrant moves of the fftshift: counts
-        # are even, so it swaps the halves of every axis and is its own
-        # inverse; the leading ellipsis indexes one grid or a stack of them
-        halves = [(slice(N // 2, None), slice(None, N // 2)) for N in grid.counts]
-        self.quadrants = [
-            ((..., *src), (..., *dst))
-            for src, dst in zip(itertools.product(*halves),
-                                itertools.product(*(h[::-1] for h in halves)))
-        ]
-        # the FFT over the last n axes, picked once per plan: in 1-D np.fft.fft
-        # gives fftn's bytes without its argument handling (ifft2 drops out=)
-        self.fft, self.ifft = (np.fft.fft, np.fft.ifft) if n == 1 else (
-            partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
+        self.quadrants, self.fft, self.ifft = axes.quadrants, axes.fft, axes.ifft
 
     def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform one grid of values, or a stack of them, over the last n axes.
@@ -217,14 +257,10 @@ _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
     """The plan of m on grid, built on first use and dropped with m."""
-    plans = _plans.setdefault(m, {})
-    plan = plans.pop(grid, None)
-    if plan is None:
-        plan = _FastPlan(grid, m)
-        if len(plans) >= _PLANS_PER_MATRIX:
-            del plans[next(iter(plans))]
-    plans[grid] = plan
-    return plan
+    plans = _plans.get(m)
+    if plans is None:  # m enters the store with its first plan, so a refused m leaves none
+        plans = _plans[m] = {grid: _FastPlan(grid, m)}
+    return _recent(plans, grid, lambda: _FastPlan(grid, m), _PLANS_PER_MATRIX)
 
 
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:

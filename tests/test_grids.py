@@ -57,6 +57,15 @@ def test_grid_refuses_non_integral_counts_and_keeps_numpy_ints():
     assert Grid((np.int32(16), 8), (0.5, 0.5), (0.0, 0.0)).counts == (16, 8)
 
 
+@pytest.mark.parametrize("counts, spacing", [
+    ((256,), (0.1,)), ((64, 16), (0.3, 0.6)), ((64, 64), (0.35, 0.35)), ((512, 512), (0.05, 0.05)),
+])
+def test_size_and_vol_keep_the_bits_of_np_prod(counts, spacing):
+    g = Grid(counts, spacing, (0.0,) * len(counts))
+    assert type(g.vol) is float and g.vol.hex() == float(np.prod(spacing)).hex()
+    assert type(g.size) is int and g.size == int(np.prod(counts))
+
+
 def test_mesh_and_flat_points_agree():
     # mesh() gives one broadcastable axis per dimension, not N^n coordinates
     g = grid2(8, 0.5)

@@ -11,6 +11,9 @@ from nslct import (
     Grid,
     GridMismatch,
     SampledSignal,
+    Spectrum,
+    WindowSpec,
+    frequency_grid,
     output_lattice,
     inverse,
     kernel_eval,
@@ -23,6 +26,7 @@ from nslct import (
     random_free_matrix,
     same_matrix,
     spectrum_as_signal,
+    stnslct_gram,
     synthesize,
     validate,
 )
@@ -197,7 +201,8 @@ def test_inverse_matrix_transform_undoes_forward_pointwise():
 
 def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
     """Plan factors and a 2-D chirp signal, read off broadcastable axes, equal
-    the same expressions on dense np.meshgrid arrays byte for byte."""
+    the same expressions on dense np.meshgrid arrays byte for byte, whether
+    the plan reads its grid's record warm or builds it."""
     def dense(grid):
         return np.meshgrid(*(grid.axis(j) for j in range(grid.n)), indexing="ij")
 
@@ -211,18 +216,27 @@ def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
 
     rng = np.random.default_rng(41)
     g2 = Grid((64, 16), (0.3, 0.6), (-30 * 0.3, -7 * 0.6))
-    for g in (grid1(), g2):
+    # an off-centre origin, and an origin of exactly 0.0, whose carrier
+    # omega * 0.0 holds signed zeros until sum's int start makes them 0.0
+    off1 = Grid((128,), (0.1,), (-12.3,))
+    zero2 = Grid((32, 16), (0.3, 0.6), (0.0, -5 * 0.6))
+    for g in (grid1(), g2, off1, zero2):
         n = g.n
-        m = random_free_matrix(rng, n)
-        if n == 2:  # non-separable: the cross terms of both chirps are live
-            assert m.b_inva[0, 1] != 0.0 and m.db_inv[0, 1] != 0.0
-        x, omega = dense(g), dense(output_lattice(g, m).base)
-        w = [sum(m.b[i, j] * omega[j] for j in range(n)) for i in range(n)]
-        carrier = sum(omega[j] * g.origin[j] for j in range(n))
-        amp = g.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
-        plan = _FastPlan(g, m)
-        assert plan.chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
-        assert plan.post.tobytes() == (np.exp(1j * (quad(w, m.db_inv) - carrier)) * amp).tobytes()
+        for _ in range(2):  # the second plan reads the record the first built
+            m = random_free_matrix(rng, n)
+            if n == 2:  # non-separable: the cross terms of both chirps are live
+                assert m.b_inva[0, 1] != 0.0 and m.db_inv[0, 1] != 0.0
+            x, omega = dense(g), dense(output_lattice(g, m).base)
+            w = [sum(m.b[i, j] * omega[j] for j in range(n)) for i in range(n)]
+            carrier = sum(omega[j] * g.origin[j] for j in range(n))
+            amp = g.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
+            plan = _FastPlan(g, m)
+            assert plan.chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
+            assert plan.post.tobytes() == (np.exp(1j * (quad(w, m.db_inv) - carrier)) * amp).tobytes()
+        transform._grids.clear()
+        cold = _FastPlan(g, m)
+        assert cold.chirp.tobytes() == plan.chirp.tobytes()
+        assert cold.post.tobytes() == plan.post.tobytes()
 
     sigma, center, freq, rate = (1.1, 0.9), (0.3, -0.2), (1.2, -0.7), (0.25, 0.4)
     f = synthesize("chirp", g2, sigma=sigma, center=center, freq=freq, rate=rate)
@@ -247,6 +261,65 @@ def test_stored_plan_gives_the_bytes_of_a_fresh_one(n, monkeypatch):
     expect = nslct_inverse(spec, m).values.tobytes()
     assert all(s.values.tobytes() == spec.values.tobytes() for s in stored)
     assert all(b.values.tobytes() == expect for b in back)
+
+
+@pytest.mark.parametrize("n_grid, n_matrix", [(1, 2), (2, 1)])
+def test_matrix_of_another_dimension_is_refused_before_any_plan(n_grid, n_matrix):
+    """Read on a 1-D grid, a 2x2 block would give a silently wrong spectrum
+    from its q[0, 0] alone: every entry point refuses the pair, and the
+    matrix never enters the plan store."""
+    g = grid1(64, 0.25) if n_grid == 1 else grid2(16)
+    f = synthesize("noise", g, seed=7)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.0), 2)
+    m = random_free_matrix(np.random.default_rng(46), n_matrix)
+    calls = (
+        lambda: nslct_fast(f, m),
+        lambda: nslct_direct(f, m, np.zeros((3, n_matrix))),
+        lambda: stnslct_gram(f, wspec, m),
+        lambda: nslct_inverse(Spectrum(m, f.values, g), m),
+    )
+    for call in calls:
+        with pytest.raises(GridMismatch):
+            call()
+    assert m not in transform._plans
+
+
+def test_grid_record_is_shared_read_only_small_and_bounded(monkeypatch):
+    g = grid2(16)
+    transform._grids.clear()
+    calls = {"mesh": 0, "frequency_grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "mesh", counted("mesh", Grid.mesh))
+    monkeypatch.setattr(transform, "frequency_grid", counted("frequency_grid", frequency_grid))
+    rng = np.random.default_rng(47)
+    cold = _FastPlan(g, random_free_matrix(rng, 2))
+    assert calls["mesh"] > 0 and calls["frequency_grid"] == 1
+    calls.update(mesh=0, frequency_grid=0)
+    warm = _FastPlan(g, random_free_matrix(rng, 2))
+    assert calls == {"mesh": 0, "frequency_grid": 0}
+    axes = transform._grids[g]
+    assert warm.quadrants is cold.quadrants is axes.quadrants  # one record per grid
+    for got, want in ((axes.xs, g.mesh()), (axes.omegas, frequency_grid(g).mesh())):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for arr in (*axes.xs, *axes.omegas, *axes.carriers):
+        assert arr.size <= max(g.counts)
+        with pytest.raises(ValueError):
+            arr[(0,) * g.n] = 1.0
+
+    m = preset("frft", 1, alpha=0.3)
+    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(transform._GRIDS_KEPT + 2)]
+    for grid in grids:
+        _FastPlan(grid, m)
+        _FastPlan(grids[0], m)  # keep the first grid recently used
+    assert len(transform._grids) == transform._GRIDS_KEPT
+    assert list(transform._grids)[-1] == grids[0]
+    assert grids[1] not in transform._grids and grids[-1] in transform._grids
 
 
 def test_plans_are_keyed_on_the_matrix_object():
