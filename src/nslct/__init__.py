@@ -6,79 +6,44 @@ short-time variant slides a window across the signal before transforming.
 `uncertainty` turns the classical concentration inequalities into numeric
 reports, and `verify` batches those into a seeded pass/fail suite.
 """
-from .errors import (
-    BadAlpha,
-    BadBox,
-    BadP,
-    BadParam,
-    CoverageError,
-    DimensionError,
-    GridMismatch,
-    NSLCTError,
-    SingularB,
-    SymplecticViolation,
-    ZeroSignal,
-)
-from .grids import (
-    Gram,
-    Grid,
-    SampledSignal,
-    Spectrum,
-    WarpedGrid,
-    frequency_grid,
-    inner,
-    lp_norm,
-    norm_l2,
-    output_lattice,
-    synthesize,
-)
-from .shorttime import (
-    WindowSpec,
-    moyal,
-    stnslct_gram,
-    stnslct_reconstruct,
-)
-from .symplectic import (
-    FreeSymplecticMatrix,
-    compose,
-    inverse,
-    preset,
-    random_free_matrix,
-    same_matrix,
-    validate,
-)
-from .transform import kernel_eval, nslct_direct, nslct_fast, nslct_inverse, spectrum_as_signal
-from .uncertainty import (
-    ConcentrationSets,
-    UPReport,
-    boundedness_margin,
-    boundedness_report,
-    concentration,
-    dispersion_spatial,
-    dispersion_spectral,
-    hausdorff_young_report,
-    heisenberg_report,
-    lieb_report,
-    log_report,
-    pitt_constant,
-    pitt_report,
-)
-from .verify import SUITE_NAMES, Record, run_suite
+import importlib
+
+# every export and the module that defines it; each module loads on the
+# first read of one of its names (PEP 562), so `import nslct.cli` pays
+# for neither the uncertainty reports nor the verify suite
+_EXPORTS = {name: module for module, names in {
+    "errors": ("BadAlpha", "BadBox", "BadP", "BadParam", "CoverageError", "DimensionError",
+               "GridMismatch", "NSLCTError", "SingularB", "SymplecticViolation", "ZeroSignal"),
+    "grids": ("Gram", "Grid", "SampledSignal", "Spectrum", "WarpedGrid", "frequency_grid",
+              "inner", "lp_norm", "norm_l2", "output_lattice", "synthesize"),
+    "shorttime": ("WindowSpec", "moyal", "stnslct_gram", "stnslct_reconstruct"),
+    "symplectic": ("FreeSymplecticMatrix", "compose", "inverse", "preset",
+                   "random_free_matrix", "same_matrix", "validate"),
+    "transform": ("kernel_eval", "nslct_direct", "nslct_fast", "nslct_inverse",
+                  "spectrum_as_signal"),
+    "uncertainty": ("ConcentrationSets", "UPReport", "boundedness_margin", "boundedness_report",
+                    "concentration", "dispersion_spatial", "dispersion_spectral",
+                    "hausdorff_young_report", "heisenberg_report", "lieb_report", "log_report",
+                    "pitt_constant", "pitt_report"),
+    "verify": ("SUITE_NAMES", "Record", "run_suite"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadAlpha", "BadBox", "BadP", "BadParam", "ConcentrationSets",
-    "CoverageError", "DimensionError", "FreeSymplecticMatrix",
-    "Gram", "Grid", "GridMismatch", "NSLCTError", "Record", "SampledSignal",
-    "SingularB", "Spectrum", "SUITE_NAMES", "SymplecticViolation", "UPReport",
-    "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin",
-    "boundedness_report", "compose",
-    "concentration", "dispersion_spatial", "dispersion_spectral",
-    "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
-    "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",
-    "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "output_lattice",
-    "pitt_constant", "pitt_report", "preset", "random_free_matrix", "run_suite", "same_matrix",
-    "spectrum_as_signal", "stnslct_gram", "stnslct_reconstruct", "synthesize",
-    "validate",
-]
+# capitalized names first, each group in case-blind order
+__all__ = sorted(_EXPORTS, key=lambda name: (name[0].islower(), name.lower()))

@@ -53,6 +53,9 @@ class Grid:
                 raise BadParam("grid spacing must be positive and finite")
         if not all(math.isfinite(o) for o in self.origin):
             raise BadParam("grid origin must be finite")
+        # Python floats, so that equal grids (float32 or float64) build equal bytes
+        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
 
     @classmethod
     def centered(cls, counts, spacing) -> "Grid":
@@ -220,6 +223,7 @@ class Spectrum(_Magnitudes):
     signal_grid: Grid
 
     def __post_init__(self):
+        check_dimension(self.signal_grid, self.matrix)
         _freeze_values(self, self.signal_grid.counts, "spectrum")
 
     @cached_property
@@ -258,6 +262,7 @@ class Gram(_Magnitudes):
     ugrid: Grid = field(init=False)
 
     def __post_init__(self):
+        check_dimension(self.signal_grid, self.matrix)
         ugrid = shift_lattice(self.signal_grid, self.stride)
         object.__setattr__(self, "ugrid", ugrid)
         _freeze_values(self, ugrid.counts + self.signal_grid.counts, "gram")

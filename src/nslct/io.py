@@ -108,10 +108,7 @@ def _lines(path: str) -> list[tuple[int, str]]:
         # "." stands in for the bad byte, so its line is numbered as above
         line = len((data[:exc.start].decode() + ".").splitlines())
         raise ParseError("file is not UTF-8 text", line) from None
-    return [
-        (i + 1, ln) for i, ln in enumerate(raw)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    return [(i, ln) for i, ln in enumerate(raw, 1) if (head := ln.lstrip()) and head[0] != "#"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +193,18 @@ def _read_rows(lines, expected: int, columns: int, path_kind: str) -> np.ndarray
         raise ParseError(
             f"{path_kind} needs {expected} sample lines, found {len(lines)}", got_line
         )
-    out = np.empty((expected, columns))
-    for row, (line_no, text) in enumerate(lines):
-        out[row] = _floats(text, line_no, columns)
+    flat = None
+    if all(text.count(",") == columns - 1 for _, text in lines):
+        try:  # one parse of the whole table; np.array reads each token as float() does
+            flat = np.array(",".join(text for _, text in lines).split(","), dtype=float)
+        except ValueError:
+            pass
+    if flat is not None:
+        out = flat.reshape(expected, columns)
+    else:  # line by line: names the first bad line, and keeps the verdict on "1,2," or "1,,2"
+        out = np.empty((expected, columns))
+        for row, (line_no, text) in enumerate(lines):
+            out[row] = _floats(text, line_no, columns)
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:
         raise ParseError(f"{path_kind} holds a non-finite number", lines[bad[0]][0])

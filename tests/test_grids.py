@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from nslct import (
     BadParam,
+    Gram,
     GridMismatch,
     Grid,
     NSLCTError,
     SampledSignal,
+    Spectrum,
     WarpedGrid,
     WindowSpec,
     frequency_grid,
@@ -20,6 +22,7 @@ from nslct import (
     stnslct_gram,
     synthesize,
 )
+from nslct import transform
 
 from helpers import grid1, grid2
 
@@ -64,6 +67,30 @@ def test_size_and_vol_keep_the_bits_of_np_prod(counts, spacing):
     g = Grid(counts, spacing, (0.0,) * len(counts))
     assert type(g.vol) is float and g.vol.hex() == float(np.prod(spacing)).hex()
     assert type(g.size) is int and g.size == int(np.prod(counts))
+
+
+def test_float32_grid_builds_the_plan_of_its_float64_twin():
+    """Equal grids share one key in the grid-record and plan stores, so a
+    grid keeps Python floats whatever it was given, and which twin builds
+    first cannot decide the bytes the other gets."""
+    twin64 = Grid((64,), (0.5,), (-16.0,))
+    twin32 = Grid((64,), (np.float32(0.5),), (np.float32(-16.0),))
+    assert twin32 == twin64
+    assert all(type(v) is float for v in twin32.spacing + twin32.origin)
+    m = preset("frft", 1, alpha=0.7)
+    posts = set()
+    for order in ((twin32, twin64), (twin64, twin32)):
+        transform._grids.clear()
+        posts.update(transform._FastPlan(g, m).post.tobytes() for g in order)
+    assert len(posts) == 1
+
+
+def test_spectrum_and_gram_refuse_a_matrix_of_another_dimension():
+    g, m2 = grid1(64, 0.25), preset("fourier", 2)
+    with pytest.raises(GridMismatch, match="dimension"):
+        Spectrum(m2, np.zeros(64), g)
+    with pytest.raises(GridMismatch, match="dimension"):
+        Gram(m2, g, 2, np.zeros((32, 64)))
 
 
 def test_mesh_and_flat_points_agree():

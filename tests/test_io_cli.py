@@ -286,6 +286,88 @@ def test_signal_row_count_enforced(tmp_path):
         nio.read_signal(sig)
 
 
+def per_line_table(path, columns: int, skip: int):
+    """A text table read one line at a time through io._floats, the path the
+    readers fall back to: the table's bytes, or the ParseError's text and line."""
+    lines = nio._lines(path)[skip:]
+    try:
+        table = np.array([nio._floats(text, no, columns) for no, text in lines])
+    except nio.ParseError as exc:
+        return str(exc), exc.line
+    bad = np.flatnonzero(~np.all(np.isfinite(table), axis=1))
+    if bad.size:
+        return "non-finite", lines[bad[0]][0]
+    return table.tobytes()
+
+
+def verdict(read):
+    try:
+        return read()
+    except nio.ParseError as exc:
+        return ("non-finite", exc.line) if "non-finite" in str(exc) else (str(exc), exc.line)
+
+
+ODD_ROWS = {  # body rows that replace rows 2.. of an 8-row table, with what they test
+    "underscore": ["1_000,0"], "padded": [" 1.5 , 2 "], "bare sign": ["+.5,-.5"],
+    "fullwidth": ["１.５,0"], "overflow": ["1e400,0"], "nan": ["nan,0"],
+    "trailing comma": ["1.0,2.0,"], "empty token": ["1.0,,2.0"], "empty column": [" ,2.0"],
+    "word": ["1.0,two"], "3 then 1": ["1,2,3", "4"], "1 then 3": ["4", "1,2,3"],
+    "blank and comment": ["", "  # note", "0.25,-0.5"],
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_ROWS))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bulk_parse_keeps_the_per_line_verdict(tmp_path, name, newline):
+    rows = ["0.5,-0.25"] + ODD_ROWS[name]
+    rows += ["1.5,2.5"] * (8 - len([r for r in rows if r.strip() and "#" not in r]))  # 8 data rows
+    sig = tmp_path / "sig.txt"
+    head = "kind=signal; n=1; counts=8; spacing=0.1; origin=-0.4"
+    sig.write_bytes(newline.join([head] + rows).encode() + newline.encode())
+
+    def read_table():
+        values = nio.read_signal(sig).values.ravel()
+        return np.stack([values.real, values.imag], axis=-1).tobytes()
+
+    assert verdict(read_table) == per_line_table(sig, 2, 1)
+    for n, text in ((1, newline.join(r.split(",")[0] for r in rows)),
+                    (2, newline.join(rows))):
+        pts = tmp_path / f"pts{n}.txt"
+        pts.write_bytes(text.encode() + newline.encode())
+        assert verdict(lambda: nio.read_wpoints(pts, n).tobytes()) == per_line_table(pts, n, 0)
+
+
+def test_bulk_parse_verdicts_are_pinned(tmp_path):
+    """A few of the verdicts above, spelled out."""
+    pts = tmp_path / "pts.txt"
+    for text, want in (("1_000, 1.5 \n+.5,１\n", [[1000.0, 1.5], [0.5, 1.0]]),
+                       ("1.0,2.0,\n1.0,,2.0\n", [[1.0, 2.0], [1.0, 2.0]])):
+        pts.write_text(text, encoding="utf-8")
+        assert nio.read_wpoints(pts, 2).tolist() == want
+    pts.write_text("1,2,3\n4\n")  # four numbers for a 2 x 2 table, split wrongly
+    with pytest.raises(nio.ParseError, match="expected 2 numbers, got 3") as exc:
+        nio.read_wpoints(pts, 2)
+    assert exc.value.line == 1
+    pts.write_text("0,0\n1e400,0\n")
+    with pytest.raises(nio.ParseError, match="non-finite") as exc:
+        nio.read_wpoints(pts, 2)
+    assert exc.value.line == 2
+
+
+def test_signal_round_trip_keeps_extreme_doubles(tmp_path):
+    rng = np.random.default_rng(48)
+    bits = rng.integers(0, 2**64, size=2 * 256, dtype=np.uint64).view(float)
+    vals = np.where(np.isfinite(bits), bits, 1.0)
+    vals[:6] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+    f = SampledSignal(grid1(), nio._complex_col(vals[0::2], vals[1::2]))
+    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    nio.write_signal(p1, f)
+    back = nio.read_signal(p1)
+    assert back.values.tobytes() == f.values.tobytes()
+    nio.write_signal(p2, back)
+    assert read_bytes(p1) == read_bytes(p2)
+
+
 def test_report_schema(tmp_path):
     from nslct import run_suite
 
@@ -506,8 +588,10 @@ def test_exit_codes(workdir):
     assert rc == 2
     assert err.startswith("UsageError: cannot invert a file of kind 'signal'")
 
-    rc, _, _ = run_cli("verify", "--suite", "nonsense")
+    # the suite list is the library's: run_suite refuses the name, not argparse
+    rc, out, err = run_cli("verify", "--suite", "nonsense")
     assert rc == 2
+    assert err.startswith("UsageError: unknown suite 'nonsense'") and out == ""
 
     rc, _, err = run_cli("transform", "--signal", d / "missing.txt",
                          "--matrix", d / "m.txt", "--out", d / "x.txt")

@@ -1,0 +1,65 @@
+import subprocess
+import sys
+
+import pytest
+
+import nslct
+import nslct.cli
+from nslct.cli import main
+
+EXPORTS = [
+    "BadAlpha", "BadBox", "BadP", "BadParam", "ConcentrationSets",
+    "CoverageError", "DimensionError", "FreeSymplecticMatrix",
+    "Gram", "Grid", "GridMismatch", "NSLCTError", "Record", "SampledSignal",
+    "SingularB", "Spectrum", "SUITE_NAMES", "SymplecticViolation", "UPReport",
+    "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin",
+    "boundedness_report", "compose",
+    "concentration", "dispersion_spatial", "dispersion_spectral",
+    "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
+    "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",
+    "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "output_lattice",
+    "pitt_constant", "pitt_report", "preset", "random_free_matrix", "run_suite", "same_matrix",
+    "spectrum_as_signal", "stnslct_gram", "stnslct_reconstruct", "synthesize",
+    "validate",
+]
+
+
+def test_cli_import_leaves_verify_and_uncertainty_unloaded():
+    code = "import sys, nslct.cli; print(*(m for m in sys.modules if m.startswith('nslct.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "nslct.cli" in loaded and "nslct.io" in loaded
+    assert "nslct.verify" not in loaded and "nslct.uncertainty" not in loaded
+
+
+def test_exports_resolve_lazily_to_their_modules():
+    assert nslct.__all__ == EXPORTS
+    namespace = {}
+    exec("from nslct import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    from nslct import BadBox, io, uncertainty  # submodules import as before
+
+    assert BadBox is nslct.errors.BadBox and io is nslct.io
+    assert nslct.heisenberg_report is uncertainty.heisenberg_report
+    assert "run_suite" in dir(nslct)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nslct.no_such_name
+    assert not hasattr(nslct, "verify_suite")
+
+
+def test_cli_verify_calls_the_run_suite_bound_in_the_cli_module(monkeypatch, capsys):
+    from nslct.verify import run_suite
+
+    assert nslct.cli.run_suite is run_suite
+    calls = []
+
+    def fake(suite, seed):
+        calls.append((suite, seed))
+        return [], {"lieb": 0.5}
+
+    monkeypatch.setattr(nslct.cli, "run_suite", fake)
+    assert main(["verify", "--suite", "lieb", "--seed", "3"]) == 0
+    assert calls == [("lieb", 3)]
+    assert capsys.readouterr().out == "lieb: 0 records, min relative margin 5.000e-01, ok\n"
+    with pytest.raises(AttributeError):
+        nslct.cli.no_such_name
