@@ -81,7 +81,6 @@ class FreeSymplecticMatrix:
     c: np.ndarray
     d: np.ndarray
     det_b: float
-    b_inv: np.ndarray
     b_invt: np.ndarray
     db_inv: np.ndarray
     b_inva: np.ndarray
@@ -135,7 +134,6 @@ def validate(a, b, c, d) -> FreeSymplecticMatrix:
         c=_frozen(C),
         d=_frozen(D),
         det_b=det_b,
-        b_inv=_frozen(b_inv),
         b_invt=_frozen(b_inv.T),
         db_inv=_frozen(D @ b_inv),
         b_inva=_frozen(b_inv @ A),

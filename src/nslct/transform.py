@@ -14,17 +14,18 @@ quadrature identically, so inversion is exact up to rounding.
 
 The two chirps of a (matrix, grid) pair form its plan.  A plan is built once
 per matrix object and grid, shared by the forward and inverse transforms and
-the short-time gram and reconstruction, and lives as long as its matrix.  It
-transforms one grid or a stack of them over the last n axes, and folds the
-fftshift into the output factor.  What a plan reads of its grid alone is
-built once per grid and shared by the plans of every matrix on it.
+the short-time gram and reconstruction, and kept in its grid's record, which
+also holds what every plan on the grid reads of the grid alone; it is freed
+when its matrix dies or its grid leaves the 8 most recently used grids.  A
+plan transforms one grid or a stack of them over the last n axes, and folds
+the fftshift into the output factor.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -145,16 +146,21 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
 
 
 class _GridAxes:
-    """What a plan reads of its grid alone, built once per grid (_grids).
+    """A grid's record: what a plan reads of its grid alone, and the plans
+    made on the grid, built once per grid and kept by _grid_axes.
 
     Per axis, as broadcastable N_j-long arrays (Grid.mesh layout): the
     sample axis x_j, the FFT-frequency axis omega_j (frequency_grid's) and
     the carrier omega_j o_j; and the cell volume, the fftshift quadrant
     pairs and the FFT pair.  Plans under every matrix on the grid share it,
-    so every array is read-only, and it holds no full-grid array.
+    so every array is read-only, and it holds no full-grid array.  plans
+    maps each matrix object to its plan on the grid and drops the plan with
+    the matrix.  The key is the object, not same_matrix: a matrix within its
+    tolerance would get a plan that is not bit for bit its own.
     """
 
     def __init__(self, grid: Grid):
+        self.plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.xs = grid.mesh()
         self.omegas = frequency_grid(grid).mesh()
         self.carriers = [om * o for om, o in zip(self.omegas, grid.origin)]
@@ -176,27 +182,14 @@ class _GridAxes:
             partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
 
 
-def _recent(store: dict, key, build, bound: int):
-    """store[key], made by build() on a miss; store keeps its bound most
-    recently used entries, least recent first."""
-    value = store.pop(key, None)
-    if value is None:
-        value = build()
-        if len(store) >= bound:
-            del store[next(iter(store))]
-    store[key] = value
-    return value
-
-
-# Grid records, keyed by grid like the plans.  Each holds a few N_j-long
-# arrays per axis, kilobytes even at 512^2.
-_GRIDS_KEPT = 8
-_grids: dict = {}
+# The records of the 8 most recently used grids.  Without its plans a record
+# holds a few N_j-long arrays per axis, kilobytes even at 512^2.
+_grid_axes = lru_cache(maxsize=8)(_GridAxes)
 
 
 class _FastPlan:
     """Precomputed pointwise factors of the chirp-FFT-chirp pipeline, read off
-    the grid's shared axes (_GridAxes).
+    the grid's shared axes (_grid_axes).
 
     Built once per (matrix object, grid) by _plan and shared by every call
     under that pair, so both arrays are read-only.  It holds no reference to
@@ -208,7 +201,7 @@ class _FastPlan:
 
     def __init__(self, grid: Grid, m: FreeSymplecticMatrix):
         check_dimension(grid, m)
-        axes = _recent(_grids, grid, lambda: _GridAxes(grid), _GRIDS_KEPT)
+        axes = _grid_axes(grid)
         self.chirp = _chirp(axes.xs, m.b_inva)
         ws = _warp_meshes(m.b, axes.omegas)
         phase = 0.5 * _form(ws, m.db_inv, ws)
@@ -248,19 +241,14 @@ class _FastPlan:
         return out
 
 
-# Plans per matrix object, keyed by grid in least-recently-used order.  The
-# key is the object, not same_matrix: a matrix within its tolerance would get
-# a plan that is not bit for bit its own.
-_PLANS_PER_MATRIX = 4
-_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
-    """The plan of m on grid, built on first use and dropped with m."""
-    plans = _plans.get(m)
-    if plans is None:  # m enters the store with its first plan, so a refused m leaves none
-        plans = _plans[m] = {grid: _FastPlan(grid, m)}
-    return _recent(plans, grid, lambda: _FastPlan(grid, m), _PLANS_PER_MATRIX)
+    """The plan of m on grid, built on first use and kept in the grid's
+    record until m dies or the grid leaves _grid_axes."""
+    plans = _grid_axes(grid).plans
+    plan = plans.get(m)
+    if plan is None:  # _FastPlan refuses a matrix of another dimension, so it is never stored
+        plan = plans[m] = _FastPlan(grid, m)
+    return plan
 
 
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:

@@ -77,3 +77,53 @@ def align_phase(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 def rel_max_err(got: np.ndarray, want: np.ndarray) -> float:
     scale = np.max(np.abs(want))
     return float(np.max(np.abs(got - want)) / (scale if scale > 0 else 1.0))
+
+
+# Closed forms for complex Gaussians exp(-x'Px/2 + q'x), Re P > 0, written
+# from the kernel K_M alone (numpy only): the continuum oracle that the
+# Riemann-sum identities (Parseval, round trip, Moyal) cannot stand in for.
+
+def _phase_parts(a, b, d):
+    binv = np.linalg.inv(b)
+    return binv @ a, d @ binv, binv, TWO_PI ** (-b.shape[0] / 2.0) / np.sqrt(abs(np.linalg.det(b)))
+
+
+def _flat_mesh(axes) -> np.ndarray:
+    """Every point of the product of 1-D axes, row-major, as (size, n)."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def gaussian_samples(grid: Grid, p_mat, q_vec) -> np.ndarray:
+    """exp(-x'Px/2 + q'x) on the grid, shaped like the grid."""
+    xs = _flat_mesh([o + s * np.arange(c) for c, s, o in zip(grid.counts, grid.spacing, grid.origin)])
+    expo = -0.5 * np.einsum("ki,ij,kj->k", xs, p_mat, xs) + xs @ q_vec
+    return np.exp(expo).reshape(grid.counts)
+
+
+def fft_lattice(grid: Grid, b) -> np.ndarray:
+    """w = B omega over the ascending FFT frequencies 2 pi m / (N_j delta_j),
+    m in [-N_j/2, N_j/2), row-major as (size, n): where a spectrum sits."""
+    omega = _flat_mesh([TWO_PI * np.arange(-(c // 2), c - c // 2) / (c * s)
+                        for c, s in zip(grid.counts, grid.spacing)])
+    return omega @ np.atleast_2d(b).T
+
+
+def gaussian(p_mat, q_vec, scale: complex, blocks, wpoints) -> np.ndarray:
+    """Closed-form transform of scale * exp(-x'Px/2 + q'x) at each point w.
+
+    With Q = P - i B^-1 A and v = q - i B^-T w the integral is
+    (2 pi)^(n/2) det(Q)^(-1/2) exp(v' Q^-1 v / 2); det(Q)^(1/2) is the
+    product of principal roots of Q's eigenvalues, which all lie in the
+    right half-plane when Re Q is positive definite.
+    """
+    a, b, _c, d = (np.atleast_2d(np.asarray(blk, dtype=float)) for blk in blocks)
+    n = b.shape[0]
+    bia, dbi, binv, amp = _phase_parts(a, b, d)
+    qm = np.asarray(p_mat, dtype=complex) - 1j * bia
+    qinv = np.linalg.inv(qm)
+    sqrt_det = np.prod(np.sqrt(np.linalg.eigvals(qm)))
+    w = np.asarray(wpoints, dtype=float).reshape(-1, n)
+    v = np.asarray(q_vec, dtype=complex)[None, :] - 1j * (w @ binv.T)
+    expo = 0.5 * np.einsum("pi,ij,pj->p", v, qinv, v)
+    qw = 0.5 * np.einsum("pi,ij,pj->p", w, dbi, w)
+    return amp * scale * TWO_PI ** (n / 2.0) / sqrt_det * np.exp(expo + 1j * qw)

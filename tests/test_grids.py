@@ -80,7 +80,7 @@ def test_float32_grid_builds_the_plan_of_its_float64_twin():
     m = preset("frft", 1, alpha=0.7)
     posts = set()
     for order in ((twin32, twin64), (twin64, twin32)):
-        transform._grids.clear()
+        transform._grid_axes.cache_clear()
         posts.update(transform._FastPlan(g, m).post.tobytes() for g in order)
     assert len(posts) == 1
 

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -5,7 +8,10 @@ import pytest
 
 import nslct
 import nslct.cli
+import nslct.io
 from nslct.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 EXPORTS = [
     "BadAlpha", "BadBox", "BadP", "BadParam", "ConcentrationSets",
@@ -63,3 +69,36 @@ def test_cli_verify_calls_the_run_suite_bound_in_the_cli_module(monkeypatch, cap
     assert capsys.readouterr().out == "lieb: 0 records, min relative margin 5.000e-01, ok\n"
     with pytest.raises(AttributeError):
         nslct.cli.no_such_name
+
+
+def _resolve(name: str):
+    """What `from nslct import name` binds: an attribute, else a submodule."""
+    try:
+        return getattr(nslct, name)
+    except AttributeError:
+        return importlib.import_module(f"nslct.{name}")
+
+
+def _assigned(tree: ast.Module, name: str):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned at module level")
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    """The benchmark's gate runs untraced, so a name read only by its traced
+    layer probes would break unseen: every `from nslct import` in its run
+    and workload modules, nested ones included, and every nslct.io and
+    nslct.cli name its CLI tracer wraps must resolve."""
+    trees = {name: ast.parse((PERFBENCH / name).read_text()) for name in ("run.py", "workloads.py")}
+    names = {alias.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "nslct" for alias in node.names}
+    assert {"concentration", "cli", "io", "run_suite"} <= names  # nested and submodule imports seen
+    for name in sorted(names):
+        _resolve(name)
+    io_calls, cli_calls = (_assigned(trees["workloads.py"], n) for n in ("IO_CALLS", "CLI_CALLS"))
+    assert io_calls and cli_calls
+    for mod, calls in ((nslct.io, io_calls), (nslct.cli, cli_calls)):
+        for name in calls:
+            assert callable(getattr(mod, name)), f"{mod.__name__}.{name}"

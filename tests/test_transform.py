@@ -129,8 +129,11 @@ def test_kernel_eval_sums_to_the_reference_quadrature():
 def test_direct_reads_no_plan():
     """The oracle builds its chirps itself: no plan exists for its matrix."""
     m = random_free_matrix(np.random.default_rng(44), 2)
-    nslct_direct(synthesize("noise", grid2(32), seed=5), m, np.zeros((3, 2)))
-    assert m not in transform._plans
+    f = synthesize("noise", grid2(32), seed=5)
+    before = transform._grid_axes.cache_info()
+    nslct_direct(f, m, np.zeros((3, 2)))
+    assert transform._grid_axes.cache_info() == before  # no grid record read
+    assert m not in transform._grid_axes(f.grid).plans
 
 
 def test_fast_agrees_with_direct_on_warped_lattice():
@@ -233,7 +236,7 @@ def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
             plan = _FastPlan(g, m)
             assert plan.chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
             assert plan.post.tobytes() == (np.exp(1j * (quad(w, m.db_inv) - carrier)) * amp).tobytes()
-        transform._grids.clear()
+        transform._grid_axes.cache_clear()
         cold = _FastPlan(g, m)
         assert cold.chirp.tobytes() == plan.chirp.tobytes()
         assert cold.post.tobytes() == plan.post.tobytes()
@@ -281,12 +284,12 @@ def test_matrix_of_another_dimension_is_refused_before_any_plan(n_grid, n_matrix
     for call in calls:
         with pytest.raises(GridMismatch):
             call()
-    assert m not in transform._plans
+    assert m not in transform._grid_axes(g).plans
 
 
 def test_grid_record_is_shared_read_only_small_and_bounded(monkeypatch):
     g = grid2(16)
-    transform._grids.clear()
+    transform._grid_axes.cache_clear()
     calls = {"mesh": 0, "frequency_grid": 0}
 
     def counted(name, fn):
@@ -303,7 +306,7 @@ def test_grid_record_is_shared_read_only_small_and_bounded(monkeypatch):
     calls.update(mesh=0, frequency_grid=0)
     warm = _FastPlan(g, random_free_matrix(rng, 2))
     assert calls == {"mesh": 0, "frequency_grid": 0}
-    axes = transform._grids[g]
+    axes = transform._grid_axes(g)
     assert warm.quadrants is cold.quadrants is axes.quadrants  # one record per grid
     for got, want in ((axes.xs, g.mesh()), (axes.omegas, frequency_grid(g).mesh())):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -313,13 +316,20 @@ def test_grid_record_is_shared_read_only_small_and_bounded(monkeypatch):
             arr[(0,) * g.n] = 1.0
 
     m = preset("frft", 1, alpha=0.3)
-    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(transform._GRIDS_KEPT + 2)]
+    kept = 8  # the grid records in the store
+    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(kept + 2)]
+    transform._grid_axes.cache_clear()
     for grid in grids:
         _FastPlan(grid, m)
         _FastPlan(grids[0], m)  # keep the first grid recently used
-    assert len(transform._grids) == transform._GRIDS_KEPT
-    assert list(transform._grids)[-1] == grids[0]
-    assert grids[1] not in transform._grids and grids[-1] in transform._grids
+    info = transform._grid_axes.cache_info()
+    # each grid was built once: the first, used most recently, was never evicted
+    assert (info.hits, info.misses, info.currsize) == (len(grids), len(grids), kept)
+    for grid, hit in ((grids[0], True), (grids[-1], True), (grids[1], False)):
+        before = transform._grid_axes.cache_info()
+        transform._grid_axes(grid)
+        after = transform._grid_axes.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
 
 
 def test_plans_are_keyed_on_the_matrix_object():
@@ -336,7 +346,7 @@ def test_inverse_keys_on_its_own_matrix_argument():
     m1, m2 = (validate(base.a, base.b, base.c, base.d) for _ in range(2))
     f = gaussian_1d(grid1())
     nslct_inverse(nslct_fast(f, m1), m2)
-    assert f.grid in transform._plans[m2]
+    assert m2 in transform._grid_axes(f.grid).plans
 
 
 def test_plans_are_dropped_with_their_matrix():
@@ -344,23 +354,30 @@ def test_plans_are_dropped_with_their_matrix():
     f = gaussian_1d(grid1())
     spec = nslct_fast(f, m)
     plan = weakref.ref(_plan(f.grid, m))
-    stored = len(transform._plans)
+    plans = transform._grid_axes(f.grid).plans
+    stored = len(plans)
     del m, spec
     gc.collect()
     assert plan() is None
-    assert len(transform._plans) <= stored - 1
+    assert len(plans) <= stored - 1
 
 
-def test_plans_per_matrix_are_bounded_least_recent_first():
+def test_plans_are_freed_with_their_grid_record_and_rebuilt_to_the_same_bytes():
+    """A matrix used on more grids than the store keeps holds plans only in
+    the records still kept; a plan rebuilt after its grid's eviction has the
+    bytes of the one freed."""
     m = random_free_matrix(np.random.default_rng(36), 1)
-    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(transform._PLANS_PER_MATRIX + 2)]
-    for g in grids:
-        _plan(g, m)
-        _plan(grids[0], m)  # keep the first grid recently used
-    kept = transform._plans[m]
-    assert len(kept) == transform._PLANS_PER_MATRIX
-    assert list(kept)[-1] == grids[0]
-    assert grids[1] not in kept and grids[-1] in kept
+    kept = 8  # the grid records in the store
+    grids = [Grid.centered(8 * 2**k, 0.5) for k in range(kept + 2)]
+    transform._grid_axes.cache_clear()
+    first = _plan(grids[0], m)
+    chirp, post = first.chirp.tobytes(), first.post.tobytes()
+    del first
+    plans = [weakref.ref(_plan(g, m)) for g in grids]
+    gc.collect()
+    assert [p() is not None for p in plans] == [False] * 2 + [True] * kept
+    again = _plan(grids[0], m)
+    assert again.chirp.tobytes() == chirp and again.post.tobytes() == post
 
 
 def test_plan_arrays_are_read_only():
