@@ -2,23 +2,37 @@
 
 A gram tabulates, for every shift u on a stride-s sublattice of the signal
 grid, the transform of f(x) * conj(phi(x - u)).  Window shifts are whole
-sample steps that wrap around the grid, read as views into the window tiled
-twice per axis (see _shifted_windows), so no shift copies the window.  Shift
-rows go through the FFT in chunks of about _CHUNK_POINTS points, one FFT call
-per chunk, under the one fast-transform plan of the matrix and grid, the
-same plan the plain forward and inverse transforms use (transform._plan).
+sample steps that wrap around the grid.  Every shifted window is read from
+one read-only strided view of the window tiled three times per axis (see
+_shifted_windows), so no shift copies the window.  Shift rows go through
+the FFT in chunks of about _CHUNK_POINTS points, one FFT call per chunk,
+under the one fast-transform plan of the matrix and grid, the same plan the
+plain forward and inverse transforms use (transform._plan).
+
+Chunks run on as many threads as the CPUs the process may use, capped by
+the chunk count, each thread held to its own CPU; with one CPU or one chunk
+they run in a plain loop on the calling thread (_chunkwise).  No thread
+outlives the call that started it, and the bytes do not depend on the
+thread count: each chunk's arithmetic is fixed, and the overlap-add sums
+its rows in shift order on the calling thread.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import Grid, Gram, SampledSignal, check_gram, inner, shift_lattice
 from .symplectic import FreeSymplecticMatrix
 from .transform import _CHUNK_POINTS, _plan
+
+# The CPUs this process may run on, the most threads a call uses.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +44,11 @@ class WindowSpec:
     norm2: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.stride) or int(self.stride) != self.stride or self.stride < 1:
+        try:
+            whole = math.isfinite(self.stride) and int(self.stride) == self.stride
+        except TypeError:  # not a real number: None, a string
+            whole = False
+        if not whole or self.stride < 1:
             raise BadParam("stride must be an integer >= 1")
         object.__setattr__(self, "stride", int(self.stride))
         n2 = inner(self.window, self.window).real
@@ -39,54 +57,136 @@ class WindowSpec:
         object.__setattr__(self, "norm2", n2)
 
 
-def _shifted_windows(grid: Grid, wspec: WindowSpec) -> list:
-    """Chunks of shift rows, with the slices of phi(x - u) for each row.
+def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list:
+    """Per table, t(x - u) for every shift u, and the chunks of the shifts.
 
-    The shifts u of the stride lattice run in row-major order; they are cut
-    into chunks of consecutive rows, about _CHUNK_POINTS points each, and
-    each chunk is returned as (rows, slices): the slice of those rows in the
-    gram's row stack, and per row the slices that cut phi(x - u) out of
-    np.tile(phi, (2,) * n), or out of a pointwise function of phi tiled the
-    same way, as a view: no shift copies the window.  The window must sit
-    on the signal's grid and the grid origin must be sample-aligned; both
-    are checked here, on the call, before any row is made.  Shifts are
-    whole sample steps counted from the origin, and they wrap around the
-    grid: periodizing the window keeps the stride-summed partition exactly
-    translation invariant per residue class, so a window of all ones
-    reproduces the plain transform on every shift row and stride-1
-    reconstruction with the constant denominator is exact.  Windows in
-    practice decay well inside the grid, so the wrapped tail is below the
-    quadrature noise whenever the usual envelope assumptions hold.
+    Each table is a pointwise function of phi (phi, conj phi, |phi|^2) on
+    the grid.  Its shifts come back as one read-only view of shape
+    ucounts + counts, the shift lattice's counts first: a sliding window
+    over the table tiled three times per axis, stepped by -stride from
+    (-origin / spacing) mod N + N on each axis, so no shift copies the
+    table.  The chunks are index tuples into the ucounts axes of such an
+    array: consecutive shifts in row-major order, about _CHUNK_POINTS points
+    each.  Counts and strides are powers of two, so in 2-D a chunk is whole
+    rows of the shift lattice or part of one row.
+
+    The window must sit on the signal's grid and the grid origin must be
+    sample-aligned; both are checked here, on the call, before any row is
+    made.  Shifts are whole sample steps counted from the origin, and they
+    wrap around the grid: periodizing the window keeps the stride-summed
+    partition exactly translation invariant per residue class, so a window
+    of all ones reproduces the plain transform on every shift row and
+    stride-1 reconstruction with the constant denominator is exact.
+    Windows in practice decay well inside the grid, so the wrapped tail is
+    below the quadrature noise whenever the usual envelope assumptions hold.
     """
     if wspec.window.grid != grid:
         raise GridMismatch("signal and window must share one grid")
-    counts = shift_lattice(grid, wspec.stride).counts
     offs = [o / d for o, d in zip(grid.origin, grid.spacing)]
     if any(abs(r - round(r)) > 1e-9 for r in offs):
         raise GridMismatch("grid origin is not sample-aligned; cannot shift the window")
-    s, lead = wspec.stride, [round(r) for r in offs]
-    # np.roll by s * i + o reads sample k from k - s * i - o, mod N
-    views = []
-    for idx in np.ndindex(counts):
-        starts = [(-s * i - o) % N for i, o, N in zip(idx, lead, grid.counts)]
-        views.append(tuple(slice(a, a + N) for a, N in zip(starts, grid.counts)))
+    s = wspec.stride
+    *rows, last = shift_lattice(grid, s).counts
+    # np.roll by s * i + o reads sample k from k - s * i - o, mod N: window
+    # start (-o) % N + N - s * i of the tripled table, which stays in [s, 2N)
+    starts = [(-round(r)) % N for r, N in zip(offs, grid.counts)]
+    steps = tuple(slice(a + N, a, -s) for a, N in zip(starts, grid.counts))
+    views = [sliding_window_view(np.tile(t, (3,) * grid.n), grid.counts)[steps] for t in tables]
     step = max(1, _CHUNK_POINTS // grid.size)
-    return [(slice(k, k + step), views[k:k + step]) for k in range(0, len(views), step)]
+    if rows and step > last:  # whole rows of the shift lattice
+        k = step // last
+        return views + [[(slice(r, r + k),) for r in range(0, rows[0], k)]]
+    return views + [[(*r, slice(k, k + step)) for r in np.ndindex(*rows) for k in range(0, last, step)]]
+
+
+def _chunkwise(chunks: list, work, take) -> None:
+    """take(chunk, work(chunk)) for every chunk, in order, with work run on threads.
+
+    work runs on min(_WORKERS, len(chunks)) threads started here, each held
+    to its own CPU of the process, while the calling thread waits and
+    passes each result to take in chunk order.  (Left to the scheduler, the
+    threads of a call often shared one CPU of a 2-CPU Linux host and ran no
+    faster than one.)  Each thread takes the next chunk not yet taken, but
+    only once every chunk more than a thread count before it has been
+    passed on, so at most that count + 1 results are alive at once.  All
+    threads end before this returns, and the first exception from any of
+    them is raised here.
+    """
+    workers = min(_WORKERS, len(chunks))
+    if workers == 1:
+        for chunk in chunks:
+            take(chunk, work(chunk))
+        return
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    cond = threading.Condition()
+    done: dict = {}
+    state = {"next": 0, "taken": 0, "error": None}
+
+    def fail(exc):
+        with cond:
+            state["error"] = state["error"] or exc
+            cond.notify_all()
+
+    def ready():
+        k = state["next"]
+        return state["error"] or k == len(chunks) or k <= state["taken"] + workers
+
+    def run(t):
+        try:
+            if cpus:
+                os.sched_setaffinity(0, {cpus[t % len(cpus)]})
+        except OSError:  # the CPU left the process's set meanwhile: run unpinned
+            pass
+        try:
+            while True:
+                with cond:
+                    cond.wait_for(ready)
+                    k = state["next"]
+                    if state["error"] or k == len(chunks):
+                        return
+                    state["next"] = k + 1
+                out = work(chunks[k])
+                with cond:
+                    done[k] = out
+                    cond.notify_all()
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            fail(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        for k, chunk in enumerate(chunks):
+            with cond:
+                cond.wait_for(lambda: state["error"] or k in done)
+                if state["error"]:
+                    raise state["error"]
+                out = done.pop(k)
+            take(chunk, out)
+            del out  # the chunk is freed before the next wait
+            with cond:
+                state["taken"] = k + 1
+                cond.notify_all()
+    except BaseException as exc:
+        fail(exc)
+        raise
+    finally:
+        for t in threads:
+            t.join()
 
 
 def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
     """Tabulate the windowed transform over the (u, w) lattice."""
-    chunks = _shifted_windows(f.grid, wspec)
+    windows, chunks = _shifted_windows(f.grid, wspec, np.conj(wspec.window.values))
     plan = _plan(f.grid, m)
-    ucounts = shift_lattice(f.grid, wspec.stride).counts
-    vals = np.empty(ucounts + f.grid.counts, dtype=np.complex128)
-    rows = vals.reshape(-1, *f.grid.counts)
-    conj_tile = np.tile(np.conj(wspec.window.values), (2,) * f.grid.n)
-    for span, slices in chunks:
-        part = rows[span]
-        for row, sl in zip(part, slices):
-            np.multiply(f.values, conj_tile[sl], out=row)
-        plan.forward_values(part, out=part)
+    vals = np.empty(windows.shape, dtype=np.complex128)
+
+    def fill(chunk):
+        part = np.multiply(f.values, windows[chunk], out=vals[chunk])
+        rows = part.reshape(-1, *f.grid.counts)
+        plan.forward_values(rows, out=rows)
+
+    _chunkwise(chunks, fill, lambda chunk, out: None)
     return Gram(m, f.grid, wspec.stride, vals)
 
 
@@ -109,19 +209,25 @@ def stnslct_reconstruct(
         raise BadParam(f"unknown denominator mode {denominator!r}")
     grid = wspec.window.grid
     check_gram(g, grid, m, wspec.stride)
-    chunks = _shifted_windows(grid, wspec)
+    phi = wspec.window.values
+    windows, squares, chunks = _shifted_windows(grid, wspec, phi, np.abs(phi) ** 2)
     plan = _plan(grid, m)
-    tile = np.tile(wspec.window.values, (2,) * grid.n)
-    sq_tile = np.abs(tile) ** 2
-
     acc = np.zeros(grid.counts, dtype=np.complex128)
     partition = np.zeros(grid.counts)
-    rows = g.values.reshape(-1, *grid.counts)
-    for span, slices in chunks:
-        inverted = plan.inverse_values(rows[span])
-        for row, sl in zip(inverted, slices):
-            acc += np.multiply(row, tile[sl], out=row)
-            partition += sq_tile[sl]
+
+    def weighted(chunk):
+        part = plan.inverse_values(g.values[chunk].reshape(-1, *grid.counts))
+        part = part.reshape(windows[chunk].shape)
+        return np.multiply(part, windows[chunk], out=part)
+
+    def add(chunk, part):
+        nonlocal acc, partition
+        sq = squares[chunk]
+        for i in np.ndindex(part.shape[:-grid.n]):
+            acc += part[i]
+            partition += sq[i]
+
+    _chunkwise(chunks, weighted, add)
     acc *= g.ugrid.vol
     partition *= g.ugrid.vol
     if float(np.min(partition)) < 1e-9:

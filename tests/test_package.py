@@ -3,12 +3,14 @@ import importlib
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import nslct
 import nslct.cli
 import nslct.io
+from nslct import Grid, WindowSpec, preset, shorttime, stnslct_gram, synthesize
 from nslct.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,6 +38,26 @@ def test_cli_import_leaves_verify_and_uncertainty_unloaded():
     loaded = proc.stdout.split()
     assert "nslct.cli" in loaded and "nslct.io" in loaded
     assert "nslct.verify" not in loaded and "nslct.uncertainty" not in loaded
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures costs 4-5 ms on every CLI job even after numpy
+    code = "import sys, nslct.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
+def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
+    started = []
+    thread = threading.Thread
+    monkeypatch.setattr(shorttime, "_WORKERS", 2)
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or thread(*a, **k))
+    g = Grid.centered((256,), (0.1,))
+    m = preset("frft", 1, alpha=0.7)
+    f = synthesize("noise", g, seed=3)
+    for stride, threads in ((4, 0), (1, 2)):  # a `verify` 1-D combo: 64 rows, one chunk; 256 rows, two
+        stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride), m)
+        assert len(started) == threads, stride
 
 
 def test_exports_resolve_lazily_to_their_modules():

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -46,9 +49,11 @@ def test_window_spec_validation():
         WindowSpec(w, stride=0)
     with pytest.raises(BadParam):
         WindowSpec(w, stride=2.5)
-    for stride in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(BadParam):
+    for stride in (float("nan"), float("inf"), float("-inf"), "2", None):
+        with pytest.raises(BadParam, match="stride must be an integer >= 1"):
             WindowSpec(w, stride=stride)
+    whole = WindowSpec(w, stride=2.0)
+    assert whole.stride == 2 and type(whole.stride) is int
     with pytest.raises(ZeroSignal):
         WindowSpec(SampledSignal(g, np.zeros(256, dtype=complex)), stride=1)
     with pytest.raises(TypeError):  # the squared norm is always computed
@@ -238,6 +243,7 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
         ((256,), (0.1,), None, 1),
         ((256,), (0.1,), None, 4),
         ((64, 16), (0.35, 0.5), None, 2),
+        ((64, 64), (0.35, 0.35), None, 2),
         ((256,), (0.1,), (-0.5,), 2),
         ((2**16,), (0.001,), None, 2**13),
     ],
@@ -245,23 +251,80 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
         "1d-stride1-two-chunks",
         "1d-stride4-fewer-rows-than-a-chunk",
         "2d-64x16-stride2-eight-chunks",
+        "2d-64x64-stride2-four-chunks-per-row",
         "1d-origin-off-centre-shifts-wrap",
         "1d-one-row-per-chunk",
     ],
 )
 def test_chunked_gram_and_reconstruction_keep_the_bytes_of_the_row_loop(
-    counts, spacing, origin, stride
+    counts, spacing, origin, stride, monkeypatch
 ):
     g = Grid.centered(counts, spacing) if origin is None else Grid(counts, spacing, origin)
     f = synthesize("noise", g, seed=7)
     wspec = WindowSpec(synthesize("gaussian", g, sigma=1.2), stride=stride)
     m = random_free_matrix(np.random.default_rng(44), g.n)
     want_gram, want_pointwise, want_constant = _row_loop_gram_and_reconstructions(f, wspec, m)
+    for workers in (1, 2):
+        monkeypatch.setattr(shorttime, "_WORKERS", workers)
+        gram = stnslct_gram(f, wspec, m)
+        assert gram.values.tobytes() == want_gram.tobytes(), workers
+        for mode, want in (("pointwise", want_pointwise), ("constant", want_constant)):
+            rec = stnslct_reconstruct(gram, wspec, m, denominator=mode)
+            assert rec.values.tobytes() == want.tobytes(), (workers, mode)
+
+
+def _eight_chunk_case():
+    """A 512-point stride-1 gram: 512 shift rows, 64 to a chunk."""
+    g = grid1(512, 0.05)
+    f = synthesize("noise", g, seed=9)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.2), stride=1)
+    return f, wspec, random_free_matrix(np.random.default_rng(45), 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["forward_values", "inverse_values"])
+def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers, monkeypatch):
+    f, wspec, m = _eight_chunk_case()
+    want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
     gram = stnslct_gram(f, wspec, m)
-    assert gram.values.tobytes() == want_gram.tobytes()
-    for mode, want in (("pointwise", want_pointwise), ("constant", want_constant)):
-        rec = stnslct_reconstruct(gram, wspec, m, denominator=mode)
-        assert rec.values.tobytes() == want.tobytes(), mode
+    boom = RuntimeError("third chunk")
+    calls = itertools.count(1)
+    run = getattr(_FastPlan, name)
+
+    def third_fails(self, *a, **k):
+        if next(calls) == 3:
+            raise boom
+        return run(self, *a, **k)
+
+    monkeypatch.setattr(shorttime, "_WORKERS", workers)
+    monkeypatch.setattr(_FastPlan, name, third_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        if name == "forward_values":
+            stnslct_gram(f, wspec, m)
+        else:
+            stnslct_reconstruct(gram, wspec, m)
+    assert err.value is boom
+    assert threading.active_count() == threads
+    assert stnslct_gram(f, wspec, m).values.tobytes() == want_gram.tobytes()
+    assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
+
+
+def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch):
+    f, wspec, m = _eight_chunk_case()
+    want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
+    monkeypatch.setattr(shorttime, "_WORKERS", 8)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            gram = stnslct_gram(f, wspec, m)
+            assert gram.values.tobytes() == want_gram.tobytes()
+            assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
 
 
 def test_sparse_cover_raises_coverage_error():
