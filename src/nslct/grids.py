@@ -4,11 +4,21 @@ Signals live on origin-anchored uniform grids x_k = o + k * delta with
 power-of-two counts so the fast transform path can lean on the FFT.  All
 integrals are plain Riemann sums (cell volume times a deterministic sum),
 which keeps every figure in the test battery bit-reproducible.
+
+The sum is numpy's pairwise np.sum, taken in blocks: a report sum builds
+its terms _CHUNK_POINTS cells at a time, sums each block, and adds the
+block sums in a balanced pairwise tree (_block_sum).  Every value table has
+2^k cells, and np.sum of a contiguous 2^k array splits at exact halves, so
+the tree gives the bytes of one np.sum over the whole table without ever
+holding that table of terms.  Blocks, like the chunks of the short-time
+gram, run on one thread per CPU the process may use (_chunkwise).
 """
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -297,6 +307,133 @@ def frequency_grid(grid: Grid) -> Grid:
 
 
 # ---------------------------------------------------------------------------
+# threads and block sums
+
+# Cells per block (512 KB of complex128): the short-time gram and its
+# overlap-add send this many points of shift rows through one FFT call,
+# nslct_direct builds its per-axis factors for this many entries at a time,
+# and a report sum (_block_sum) takes its terms this many cells at a time.
+# Gram, overlap-add and report blocks are also the unit of work of their
+# threads: one thread per CPU the process may use, capped by the block
+# count, none left after the call, and the bytes do not depend on the count
+# (_chunkwise).  On 2 shared CPUs, single-threaded gram chunks of 2^13,
+# 2^15, 2^16 and 2^17 points timed within noise of each other on a
+# 2048-point and a 64^2 gram; 2^14 was 1.5x slower on the 2048-point gram,
+# and one call over the whole stack of rows 1.2-1.5x slower on both (see
+# ROADMAP, "Do not retry", item 4).
+_CHUNK_POINTS = 2**15
+
+# The CPUs this process may run on, the most threads a call uses.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _chunkwise(chunks: list, work, take) -> None:
+    """take(chunk, work(chunk)) for every chunk, in order, with work run on threads.
+
+    work runs on min(_WORKERS, len(chunks)) threads started here, each held
+    to its own CPU of the process, while the calling thread waits and
+    passes each result to take in chunk order.  (Left to the scheduler, the
+    threads of a call often shared one CPU of a 2-CPU Linux host and ran no
+    faster than one.)  Each thread takes the next chunk not yet taken, but
+    only once every chunk more than a thread count before it has been
+    passed on, so at most that count + 1 results are alive at once.  All
+    threads end before this returns, and the first exception from any of
+    them is raised here.
+    """
+    workers = min(_WORKERS, len(chunks))
+    if workers == 1:
+        for chunk in chunks:
+            take(chunk, work(chunk))
+        return
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    cond = threading.Condition()
+    done: dict = {}
+    state = {"next": 0, "taken": 0, "error": None}
+
+    def fail(exc):
+        with cond:
+            state["error"] = state["error"] or exc
+            cond.notify_all()
+
+    def ready():
+        k = state["next"]
+        return state["error"] or k == len(chunks) or k <= state["taken"] + workers
+
+    def run(t):
+        try:
+            if cpus:
+                os.sched_setaffinity(0, {cpus[t % len(cpus)]})
+        except OSError:  # the CPU left the process's set meanwhile: run unpinned
+            pass
+        try:
+            while True:
+                with cond:
+                    cond.wait_for(ready)
+                    k = state["next"]
+                    if state["error"] or k == len(chunks):
+                        return
+                    state["next"] = k + 1
+                out = work(chunks[k])
+                with cond:
+                    done[k] = out
+                    cond.notify_all()
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            fail(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        for k, chunk in enumerate(chunks):
+            with cond:
+                cond.wait_for(lambda: state["error"] or k in done)
+                if state["error"]:
+                    raise state["error"]
+                out = done.pop(k)
+            take(chunk, out)
+            del out  # the chunk is freed before the next wait
+            with cond:
+                state["taken"] = k + 1
+                cond.notify_all()
+    except BaseException as exc:
+        fail(exc)
+        raise
+    finally:
+        for t in threads:
+            t.join()
+
+
+def _block_sum(size: int, terms, dtype=None):
+    """np.sum of a table of size = 2^k terms, built and summed _CHUNK_POINTS cells at a time.
+
+    terms(block, out) returns the terms of the flat cells the slice block
+    selects; out is a block-sized scratch array of dtype (None without a
+    dtype), which the calling thread allocates, one per thread, and which
+    terms may fill in place.  The block sums run on _chunkwise's threads
+    and are added in a balanced pairwise tree.  numpy's pairwise np.sum
+    over a contiguous array of 2^k cells splits it at exact halves, so this
+    tree of equal 2^j-cell block sums is, bit for bit, one np.sum of the table.
+    """
+    step = min(size, _CHUNK_POINTS)
+    blocks = [slice(k, k + step) for k in range(0, size, step)]
+    workers = min(_WORKERS, len(blocks))
+    free = [None if dtype is None else np.empty(step, dtype) for _ in range(workers)]
+    sums = []
+
+    def block_sum(block):
+        out = free.pop()  # one per thread: a thread works one block at a time
+        try:
+            return np.sum(terms(block, out))
+        finally:
+            free.append(out)
+
+    _chunkwise(blocks, block_sum, lambda block, total: sums.append(total))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+# ---------------------------------------------------------------------------
 # pairings and norms
 
 
@@ -315,11 +452,32 @@ def _power_sum(obj, p: float, weight=None) -> float:
     """cell * sum |values|^p, times weight if given, of a signal, spectrum or gram.
 
     p = 1 and p = 2 read the kept magnitudes themselves; any other p is
-    |V| ** p, whose bytes differ from (|V|^2) ** (p / 2).
+    |V| ** p, whose bytes differ from (|V|^2) ** (p / 2).  The weight spans
+    the trailing (grid) axes of the values and repeats over the leading
+    (shift) axes.  Unweighted p = 1 and p = 2 are one np.sum of a kept
+    table; every other sum takes its terms block by block (_block_sum), in
+    the ufuncs and operand order of (|V| ** p) * weight, so its bytes are
+    those of one np.sum over that whole table of terms.
     """
     mags, squares = obj.magnitudes
-    powers = mags if p == 1.0 else squares if p == 2.0 else mags**p
-    return float(obj.cell * np.sum(powers if weight is None else powers * weight))
+    if weight is None and p in (1.0, 2.0):
+        return float(obj.cell * np.sum(mags if p == 1.0 else squares))
+    table = (squares if p == 2.0 else mags).reshape(-1)
+    if weight is not None:
+        weight = np.asarray(weight)
+        grid = np.broadcast_to(weight, mags.shape[mags.ndim - weight.ndim:]).reshape(-1)
+        # one block's weight: the grid's weight repeated, or all of it when
+        # one grid spans several blocks
+        weight = np.tile(grid, max(1, min(table.size, _CHUNK_POINTS) // grid.size))
+
+    def terms(block: slice, out: np.ndarray) -> np.ndarray:
+        powers = table[block] if p in (1.0, 2.0) else np.power(table[block], p, out=out)
+        if weight is None:
+            return powers
+        k = block.start % weight.size
+        return np.multiply(powers, weight[k:k + block.stop - block.start], out=out)
+
+    return float(obj.cell * _block_sum(table.size, terms, np.float64))
 
 
 def lp_norm(obj, p: float) -> float:

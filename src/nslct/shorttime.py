@@ -11,28 +11,26 @@ plain forward and inverse transforms use (transform._plan).
 
 Chunks run on as many threads as the CPUs the process may use, capped by
 the chunk count, each thread held to its own CPU; with one CPU or one chunk
-they run in a plain loop on the calling thread (_chunkwise).  No thread
-outlives the call that started it, and the bytes do not depend on the
-thread count: each chunk's arithmetic is fixed, and the overlap-add sums
-its rows in shift order on the calling thread.
+they run in a plain loop on the calling thread (grids._chunkwise).  No
+thread outlives the call that started it, and the bytes do not depend on
+the thread count: each chunk's arithmetic is fixed, and the overlap-add
+sums its rows in shift order on the calling thread.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
-from .grids import Grid, Gram, SampledSignal, check_gram, inner, shift_lattice
+from .grids import (
+    _CHUNK_POINTS, Grid, Gram, SampledSignal, _block_sum, _chunkwise, check_gram, inner,
+    shift_lattice,
+)
 from .symplectic import FreeSymplecticMatrix
-from .transform import _CHUNK_POINTS, _plan
-
-# The CPUs this process may run on, the most threads a call uses.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+from .transform import _plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,82 +97,6 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list
     return views + [[(*r, slice(k, k + step)) for r in np.ndindex(*rows) for k in range(0, last, step)]]
 
 
-def _chunkwise(chunks: list, work, take) -> None:
-    """take(chunk, work(chunk)) for every chunk, in order, with work run on threads.
-
-    work runs on min(_WORKERS, len(chunks)) threads started here, each held
-    to its own CPU of the process, while the calling thread waits and
-    passes each result to take in chunk order.  (Left to the scheduler, the
-    threads of a call often shared one CPU of a 2-CPU Linux host and ran no
-    faster than one.)  Each thread takes the next chunk not yet taken, but
-    only once every chunk more than a thread count before it has been
-    passed on, so at most that count + 1 results are alive at once.  All
-    threads end before this returns, and the first exception from any of
-    them is raised here.
-    """
-    workers = min(_WORKERS, len(chunks))
-    if workers == 1:
-        for chunk in chunks:
-            take(chunk, work(chunk))
-        return
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    cond = threading.Condition()
-    done: dict = {}
-    state = {"next": 0, "taken": 0, "error": None}
-
-    def fail(exc):
-        with cond:
-            state["error"] = state["error"] or exc
-            cond.notify_all()
-
-    def ready():
-        k = state["next"]
-        return state["error"] or k == len(chunks) or k <= state["taken"] + workers
-
-    def run(t):
-        try:
-            if cpus:
-                os.sched_setaffinity(0, {cpus[t % len(cpus)]})
-        except OSError:  # the CPU left the process's set meanwhile: run unpinned
-            pass
-        try:
-            while True:
-                with cond:
-                    cond.wait_for(ready)
-                    k = state["next"]
-                    if state["error"] or k == len(chunks):
-                        return
-                    state["next"] = k + 1
-                out = work(chunks[k])
-                with cond:
-                    done[k] = out
-                    cond.notify_all()
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            fail(exc)
-
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(workers)]
-    for t in threads:
-        t.start()
-    try:
-        for k, chunk in enumerate(chunks):
-            with cond:
-                cond.wait_for(lambda: state["error"] or k in done)
-                if state["error"]:
-                    raise state["error"]
-                out = done.pop(k)
-            take(chunk, out)
-            del out  # the chunk is freed before the next wait
-            with cond:
-                state["taken"] = k + 1
-                cond.notify_all()
-    except BaseException as exc:
-        fail(exc)
-        raise
-    finally:
-        for t in threads:
-            t.join()
-
-
 def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
     """Tabulate the windowed transform over the (u, w) lattice."""
     windows, chunks = _shifted_windows(f.grid, wspec, np.conj(wspec.window.values))
@@ -237,6 +159,16 @@ def stnslct_reconstruct(
 
 
 def moyal(g1: Gram, g2: Gram) -> complex:
-    """Pairing of two grams over their shared (u, w) lattice and matrix."""
+    """Pairing of two grams over their shared (u, w) lattice and matrix.
+
+    The sum runs block by block (grids._block_sum), and each block's terms
+    are a * np.conj(b), written as that expression: from 2^14 cells up,
+    numpy's temporary elision evaluates it as a multiply into the conj
+    temporary with the operands swapped, and swapped operands move the
+    imaginary part's last bit.  A block holds 2^14 cells or more exactly
+    when the whole gram does, so each block takes the path that one
+    product over the whole gram would, and the sum has its bytes.
+    """
     check_gram(g2, g1.signal_grid, g1.matrix, g1.stride)
-    return complex(np.sum(g1.values * np.conj(g2.values)) * g1.cell)
+    a, b = g1.values.reshape(-1), g2.values.reshape(-1)
+    return complex(_block_sum(a.size, lambda block, out: a[block] * np.conj(b[block])) * g1.cell)

@@ -30,21 +30,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BadParam, GridMismatch
-from .grids import Grid, SampledSignal, Spectrum, _warp_meshes, check_dimension, frequency_grid
+from .grids import (
+    _CHUNK_POINTS, Grid, SampledSignal, Spectrum, _warp_meshes, check_dimension, frequency_grid,
+)
 from .symplectic import FreeSymplecticMatrix, _close, same_matrix
-
-# Points per chunk (512 KB of complex128): the short-time gram and its
-# overlap-add send this many points of shift rows through one FFT call, and
-# nslct_direct builds its per-axis factors for this many entries at a time.
-# Gram and overlap-add chunks are also the unit of work of their threads:
-# one thread per CPU the process may use, capped by the chunk count, none
-# left after the call, and the bytes do not depend on the count
-# (shorttime._chunkwise).  On 2 shared CPUs, single-threaded gram chunks of
-# 2^13, 2^15, 2^16 and 2^17 points timed within noise of each other on a
-# 2048-point and a 64^2 gram; 2^14 was 1.5x slower on the 2048-point gram,
-# and one call over the whole stack of rows 1.2-1.5x slower on both (see
-# ROADMAP, "Do not retry", item 4).
-_CHUNK_POINTS = 2**15
 
 
 def _points(p, n: int) -> np.ndarray:

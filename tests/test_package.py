@@ -10,7 +10,7 @@ import pytest
 import nslct
 import nslct.cli
 import nslct.io
-from nslct import Grid, WindowSpec, preset, shorttime, stnslct_gram, synthesize
+from nslct import Grid, WindowSpec, grids, moyal, preset, stnslct_gram, synthesize, verify
 from nslct.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,14 +50,21 @@ def test_cli_import_loads_no_thread_pool():
 def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
     started = []
     thread = threading.Thread
-    monkeypatch.setattr(shorttime, "_WORKERS", 2)
+    monkeypatch.setattr(grids, "_WORKERS", 2)
     monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or thread(*a, **k))
     g = Grid.centered((256,), (0.1,))
     m = preset("frft", 1, alpha=0.7)
     f = synthesize("noise", g, seed=3)
-    for stride, threads in ((4, 0), (1, 2)):  # a `verify` 1-D combo: 64 rows, one chunk; 256 rows, two
-        stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride), m)
+    for stride, threads in ((1, 2), (4, 0)):  # 256 rows, two chunks; a `verify` 1-D combo: 64 rows, one
+        started.clear()
+        wspec = WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride)
+        gram = stnslct_gram(f, wspec, m)
         assert len(started) == threads, stride
+    # every report on the 64 x 256-cell combo gram sums one block, on this thread
+    for report, kwargs, _, _ in (row for rows in verify._FAMILIES.values() for row in rows):
+        report(f, wspec, m, gram=gram, **kwargs)
+    moyal(gram, stnslct_gram(synthesize("noise", g, seed=4), wspec, m))
+    assert started == []
 
 
 def test_exports_resolve_lazily_to_their_modules():

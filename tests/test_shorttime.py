@@ -28,7 +28,7 @@ from nslct import (
     stnslct_reconstruct,
     synthesize,
 )
-from nslct import shorttime
+from nslct import grids, shorttime
 from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_stft
@@ -265,7 +265,7 @@ def test_chunked_gram_and_reconstruction_keep_the_bytes_of_the_row_loop(
     m = random_free_matrix(np.random.default_rng(44), g.n)
     want_gram, want_pointwise, want_constant = _row_loop_gram_and_reconstructions(f, wspec, m)
     for workers in (1, 2):
-        monkeypatch.setattr(shorttime, "_WORKERS", workers)
+        monkeypatch.setattr(grids, "_WORKERS", workers)
         gram = stnslct_gram(f, wspec, m)
         assert gram.values.tobytes() == want_gram.tobytes(), workers
         for mode, want in (("pointwise", want_pointwise), ("constant", want_constant)):
@@ -296,7 +296,7 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
             raise boom
         return run(self, *a, **k)
 
-    monkeypatch.setattr(shorttime, "_WORKERS", workers)
+    monkeypatch.setattr(grids, "_WORKERS", workers)
     monkeypatch.setattr(_FastPlan, name, third_fails)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as err:
@@ -310,10 +310,51 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
     assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("report", ["power-sum", "moyal"])
+def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(
+    report, workers, monkeypatch
+):
+    g = grid2()
+    f = synthesize("noise", g, seed=9)
+    m = random_free_matrix(np.random.default_rng(46), 2)
+    gram = stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=2), m)
+    assert gram.values.size // grids._CHUNK_POINTS == 128
+    weight = sum(mm * mm for mm in gram.wgrid.point_meshes())
+    run = {"power-sum": lambda: grids._power_sum(gram, 4.0, weight), "moyal": lambda: moyal(gram, gram)}
+    want = np.array(run[report]()).tobytes()
+    boom = RuntimeError("third block")
+    calls = itertools.count(1)
+    chunkwise = grids._chunkwise
+
+    def third_fails(chunks, work, take):
+        def work3(chunk):
+            if next(calls) == 3:
+                raise boom
+            return work(chunk)
+
+        chunkwise(chunks, work3, take)
+
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    monkeypatch.setattr(grids, "_chunkwise", third_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        run[report]()
+    assert err.value is boom
+    assert threading.active_count() == threads
+    monkeypatch.setattr(grids, "_chunkwise", chunkwise)
+    assert np.array(run[report]()).tobytes() == want
+
+
 def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch):
     f, wspec, m = _eight_chunk_case()
     want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
-    monkeypatch.setattr(shorttime, "_WORKERS", 8)
+    # report sums over the 8 blocks of that gram, each thread filling its own scratch block
+    weight = np.abs(np.linspace(-1.0, 1.0, f.grid.size))
+    cell = stnslct_gram(f, wspec, m).cell
+    want_sum = float(cell * np.sum(np.abs(want_gram) ** 3.0 * weight))
+    want_pairing = complex(np.sum(want_gram * np.conj(want_gram)) * cell)
+    monkeypatch.setattr(grids, "_WORKERS", 8)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -322,6 +363,8 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             gram = stnslct_gram(f, wspec, m)
             assert gram.values.tobytes() == want_gram.tobytes()
             assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
+            assert np.array(grids._power_sum(gram, 3.0, weight)).tobytes() == np.array(want_sum).tobytes()
+            assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads

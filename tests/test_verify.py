@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import nslct.verify
-from nslct import SUITE_NAMES, BadParam, Grid, run_suite, synthesize
+from nslct import SUITE_NAMES, BadParam, Grid, grids, run_suite, stnslct_gram, synthesize, uncertainty
 from nslct.uncertainty import TOL_INEQUALITY
 from nslct.verify import TOL_CROSS, TOL_EQUALITY, TOL_MOYAL, TOL_PARSEVAL
 
@@ -96,3 +97,58 @@ def test_parseval_alone_builds_no_gram(monkeypatch):
     monkeypatch.setattr(nslct.verify, "stnslct_gram", no_gram)
     records, _ = run_suite("parseval", 1)
     assert len(records) == 20 and all(r.suite == "parseval" for r in records)
+
+
+def _bytes(x) -> bytes:
+    return np.array(x).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, monkeypatch):
+    """Every family row's power sums and Moyal pairings against the formulas
+    they replaced: cell * np.sum(powers * weight) and
+    np.sum(g1.values * np.conj(g2.values)), each over the whole table."""
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    sums, pairings = [], []
+    power_sum, pairing = grids._power_sum, nslct.verify.moyal
+
+    def recorded_sum(obj, p, weight=None):
+        sums.append((obj, p, weight, power_sum(obj, p, weight)))
+        return sums[-1][-1]
+
+    def recorded_pairing(g1, g2):
+        pairings.append((g1, g2, pairing(g1, g2)))
+        return pairings[-1][-1]
+
+    monkeypatch.setattr(grids, "_power_sum", recorded_sum)
+    monkeypatch.setattr(uncertainty, "_power_sum", recorded_sum)
+    monkeypatch.setattr(nslct.verify, "moyal", recorded_pairing)
+    combos = nslct.verify._combos(1)
+    for c, blocks in ((combos[0], 1), (combos[-1], 128)):  # 1-D 64 x 256; 2-D 32^2 x 64^2
+        gram = stnslct_gram(c.f, c.wspec, c.m)
+        assert gram.values.size // min(gram.values.size, grids._CHUNK_POINTS) == blocks
+        for report, kwargs, _, _ in (row for rows in nslct.verify._FAMILIES.values() for row in rows):
+            report(c.f, c.wspec, c.m, gram=gram, **kwargs)
+        assert any(obj is gram and p == 4.0 for obj, p, _, _ in sums)
+        assert any(obj is gram and weight is not None for obj, _, weight, _ in sums)
+        other = stnslct_gram(nslct.verify._odd_partner(c.f), c.wspec, c.m)
+        recorded_pairing(gram, other)
+        assert [g1 is gram and g2 is gram for g1, g2, _ in pairings] == [True, False]
+        for obj, p, weight, got in sums:
+            mags = np.abs(obj.values)
+            powers = mags if p == 1.0 else mags**2 if p == 2.0 else mags**p
+            want = float(obj.cell * np.sum(powers if weight is None else powers * weight))
+            assert _bytes(got) == _bytes(want), (c.params, p)
+        for g1, g2, got in pairings:
+            want = complex(np.sum(g1.values * np.conj(g2.values)) * g1.cell)
+            assert _bytes(got.real) == _bytes(want.real) and _bytes(got.imag) == _bytes(want.imag)
+        sums.clear()
+        pairings.clear()
+
+
+def test_run_suite_records_do_not_depend_on_the_thread_count(monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(grids, "_WORKERS", workers)
+        runs.append(repr(run_suite("all", 1)))
+    assert runs[0] == runs[1]
