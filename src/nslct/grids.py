@@ -5,13 +5,16 @@ power-of-two counts so the fast transform path can lean on the FFT.  All
 integrals are plain Riemann sums (cell volume times a deterministic sum),
 which keeps every figure in the test battery bit-reproducible.
 
-The sum is numpy's pairwise np.sum, taken in blocks: a report sum builds
-its terms _CHUNK_POINTS cells at a time, sums each block, and adds the
-block sums in a balanced pairwise tree (_block_sum).  Every value table has
-2^k cells, and np.sum of a contiguous 2^k array splits at exact halves, so
-the tree gives the bytes of one np.sum over the whole table without ever
-holding that table of terms.  Blocks, like the chunks of the short-time
-gram, run on one thread per CPU the process may use (_chunkwise).
+Every sum is numpy's pairwise np.sum, taken in one pass over a table's
+chunks (_sums): the pass fills or reads a chunk, takes |V| and |V|^2 of it
+once, builds each requested term, sums it, and adds the chunk sums in a
+balanced pairwise tree.  Every value table has 2^k cells, and np.sum of a
+contiguous 2^k array splits at exact halves, so the tree gives the bytes of
+one np.sum over the whole table without ever holding that table of terms.
+A kept table is read in _CHUNK_POINTS-cell blocks; the short-time gram's
+sums can also be taken from its chunks as they are made, so that the gram
+itself is never held (shorttime).  Chunks run on one thread per CPU the
+process may use (_chunkwise).
 """
 from __future__ import annotations
 
@@ -111,24 +114,8 @@ def _flat_points(meshes, counts: tuple[int, ...]) -> np.ndarray:
     return np.stack([np.broadcast_to(m, counts).ravel() for m in meshes], axis=-1)
 
 
-class _Magnitudes:
-    """|values| and |values|^2 of a value-holding object, taken on first read.
-
-    Every norm and power sum reads this one read-only pair, so reports that
-    share a gram take |V| once; the object then holds twice its own size.
-    """
-
-    @cached_property
-    def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        mags = np.abs(self.values)
-        squares = mags**2
-        mags.setflags(write=False)
-        squares.setflags(write=False)
-        return mags, squares
-
-
 @dataclass(frozen=True, eq=False)
-class SampledSignal(_Magnitudes):
+class SampledSignal:
     """Complex samples attached to their grid."""
 
     grid: Grid
@@ -219,7 +206,7 @@ def _freeze_values(obj, shape: tuple[int, ...], what: str):
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum(_Magnitudes):
+class Spectrum:
     """Transform values on a warped frequency lattice.
 
     Carries the matrix it was made under, so an inverse can refuse another
@@ -258,7 +245,7 @@ def shift_lattice(grid: Grid, stride: int) -> Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Gram(_Magnitudes):
+class Gram:
     """Windowed-transform table indexed (shift u, frequency w).
 
     Like a spectrum it carries its matrix and signal grid; the stride fixes
@@ -307,13 +294,13 @@ def frequency_grid(grid: Grid) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# threads and block sums
+# threads and the sum pass
 
 # Cells per block (512 KB of complex128): the short-time gram and its
 # overlap-add send this many points of shift rows through one FFT call,
 # nslct_direct builds its per-axis factors for this many entries at a time,
-# and a report sum (_block_sum) takes its terms this many cells at a time.
-# Gram, overlap-add and report blocks are also the unit of work of their
+# and the sum pass (_sums) reads a kept table this many cells at a time.
+# Gram, overlap-add and sum chunks are also the unit of work of their
 # threads: one thread per CPU the process may use, capped by the block
 # count, none left after the call, and the bytes do not depend on the count
 # (_chunkwise).  On 2 shared CPUs, single-threaded gram chunks of 2^13,
@@ -403,34 +390,89 @@ def _chunkwise(chunks: list, work, take) -> None:
             t.join()
 
 
-def _block_sum(size: int, terms, dtype=None):
-    """np.sum of a table of size = 2^k terms, built and summed _CHUNK_POINTS cells at a time.
+def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> list:
+    """Every sum in needs over one table V, in one pass over its chunks.
 
-    terms(block, out) returns the terms of the flat cells the slice block
-    selects; out is a block-sized scratch array of dtype (None without a
-    dtype), which the calling thread allocates, one per thread, and which
-    terms may fill in place.  The block sums run on _chunkwise's threads
-    and are added in a balanced pairwise tree.  numpy's pairwise np.sum
-    over a contiguous array of 2^k cells splits it at exact halves, so this
-    tree of equal 2^j-cell block sums is, bit for bit, one np.sum of the table.
+    The table has shape, 2^k cells, and comes in chunks: equal runs of 2^j
+    cells in row-major order; fill(chunk, out) returns a chunk's values,
+    written into out (chunk-sized complex scratch) or read from elsewhere.
+    A need is (p, weight) for cell * sum |V|^p * weight, weight None or
+    spanning the trailing (grid) axes of V; (inf, None) for max |V|; or
+    ("conj", b) for sum V * conj(b) * cell, b the flat cells of a table of
+    V's shape, or None for V itself.  Results come in the order of needs.
+
+    The chunks run on _chunkwise's threads, each working in one set of
+    scratch arrays from the calling thread, and take |V| and |V|^2 once.
+    Each term is built in the ufuncs and operand order of its expression
+    over the whole table ((|V| ** p) * weight, V * np.conj(b)), summed by
+    one np.sum per chunk, and the chunk sums are added in a pairwise tree
+    (_tree), so each sum is, bit for bit, one np.sum over the whole table
+    of terms, without that table ever being held.
     """
-    step = min(size, _CHUNK_POINTS)
-    blocks = [slice(k, k + step) for k in range(0, size, step)]
-    workers = min(_WORKERS, len(blocks))
-    free = [None if dtype is None else np.empty(step, dtype) for _ in range(workers)]
-    sums = []
+    keys = list({(p, id(w)): (p, w) for p, w in needs}.values())
+    step = math.prod(shape) // len(chunks)
 
-    def block_sum(block):
-        out = free.pop()  # one per thread: a thread works one block at a time
+    def tiled(weight):  # one chunk's weight: the grid's, repeated, or all of it
+        grid = np.broadcast_to(weight, shape[len(shape) - np.ndim(weight):]).reshape(-1)
+        return np.tile(grid, max(1, step // grid.size))
+
+    args = [w if w is None or p == "conj" else tiled(w) for p, w in keys]
+    powers = [p for p, _ in keys if p != "conj"]
+    workers = min(_WORKERS, len(chunks))
+    free = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
+            for _ in range(workers)]
+
+    def chunk_sums(item):
+        k, chunk = item
+        scratch = free.pop()  # one set per thread: a thread works one chunk at a time
         try:
-            return np.sum(terms(block, out))
+            values, mags, squares, terms = scratch
+            values = fill(chunk, values).reshape(-1)
+            if powers:
+                np.abs(values, out=mags)
+            if 2.0 in powers:
+                np.square(mags, out=squares)
+            out = []
+            for (p, _), w in zip(keys, args):
+                if p == "conj":  # this expression, for numpy's temporary elision (shorttime.moyal)
+                    b = values if w is None else w[k * step:(k + 1) * step]
+                    out.append(np.sum(values * np.conj(b)))
+                elif p == math.inf:
+                    out.append(np.max(mags))
+                else:
+                    t = mags if p == 1.0 else squares if p == 2.0 else np.power(mags, p, out=terms)
+                    if w is not None:
+                        j = k * step % w.size
+                        t = np.multiply(t, w[j:j + step], out=terms)
+                    out.append(np.sum(t))
+            return out
         finally:
-            free.append(out)
+            free.append(scratch)
 
-    _chunkwise(blocks, block_sum, lambda block, total: sums.append(total))
+    per_chunk = []
+    _chunkwise(list(enumerate(chunks)), chunk_sums, lambda item, sums: per_chunk.append(sums))
+    found = {}
+    for i, (p, w) in enumerate(keys):
+        sums = [s[i] for s in per_chunk]
+        found[p, id(w)] = (float(max(sums)) if p == math.inf else complex(_tree(sums) * cell)
+                           if p == "conj" else float(cell * _tree(sums)))
+    return [found[p, id(w)] for p, w in needs]
+
+
+def _tree(sums: list):
+    """The sums of equal 2^j-cell blocks of a 2^k-cell table, added in a
+    balanced pairwise tree: one np.sum of the table, bit for bit."""
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
     return sums[0]
+
+
+def _table_sums(obj, needs) -> list:
+    """_sums over the kept values of a signal, spectrum or gram, _CHUNK_POINTS cells at a time."""
+    flat = obj.values.reshape(-1)
+    step = min(flat.size, _CHUNK_POINTS)
+    blocks = [slice(k, k + step) for k in range(0, flat.size, step)]
+    return _sums(needs, obj.cell, obj.values.shape, blocks, lambda block, out: flat[block])
 
 
 # ---------------------------------------------------------------------------
@@ -449,44 +491,17 @@ def norm_l2(f: SampledSignal) -> float:
 
 
 def _power_sum(obj, p: float, weight=None) -> float:
-    """cell * sum |values|^p, times weight if given, of a signal, spectrum or gram.
-
-    p = 1 and p = 2 read the kept magnitudes themselves; any other p is
-    |V| ** p, whose bytes differ from (|V|^2) ** (p / 2).  The weight spans
-    the trailing (grid) axes of the values and repeats over the leading
-    (shift) axes.  Unweighted p = 1 and p = 2 are one np.sum of a kept
-    table; every other sum takes its terms block by block (_block_sum), in
-    the ufuncs and operand order of (|V| ** p) * weight, so its bytes are
-    those of one np.sum over that whole table of terms.
-    """
-    mags, squares = obj.magnitudes
-    if weight is None and p in (1.0, 2.0):
-        return float(obj.cell * np.sum(mags if p == 1.0 else squares))
-    table = (squares if p == 2.0 else mags).reshape(-1)
-    if weight is not None:
-        weight = np.asarray(weight)
-        grid = np.broadcast_to(weight, mags.shape[mags.ndim - weight.ndim:]).reshape(-1)
-        # one block's weight: the grid's weight repeated, or all of it when
-        # one grid spans several blocks
-        weight = np.tile(grid, max(1, min(table.size, _CHUNK_POINTS) // grid.size))
-
-    def terms(block: slice, out: np.ndarray) -> np.ndarray:
-        powers = table[block] if p in (1.0, 2.0) else np.power(table[block], p, out=out)
-        if weight is None:
-            return powers
-        k = block.start % weight.size
-        return np.multiply(powers, weight[k:k + block.stop - block.start], out=out)
-
-    return float(obj.cell * _block_sum(table.size, terms, np.float64))
+    """cell * sum |values|^p, times weight if given, of a signal, spectrum or gram
+    (max |values| at p = inf): the one need (p, weight) of _sums."""
+    return _table_sums(obj, [(p, weight)])[0]
 
 
 def lp_norm(obj, p: float) -> float:
     """Discrete L^p norm of a signal, spectrum or gram (p = inf for the sup)."""
-    if p == math.inf:
-        return float(np.max(obj.magnitudes[0]))
     if not (p >= 1.0):
         raise BadParam(f"p = {p} is outside [1, inf]")
-    return _power_sum(obj, p) ** (1.0 / p)
+    total = _power_sum(obj, p)
+    return total if p == math.inf else total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

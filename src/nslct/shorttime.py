@@ -7,7 +7,10 @@ one read-only strided view of the window tiled three times per axis (see
 _shifted_windows), so no shift copies the window.  Shift rows go through
 the FFT in chunks of about _CHUNK_POINTS points, one FFT call per chunk,
 under the one fast-transform plan of the matrix and grid, the same plan the
-plain forward and inverse transforms use (transform._plan).
+plain forward and inverse transforms use (transform._plan).  The same chunk
+fill either builds the gram (stnslct_gram) or feeds each chunk, as it is
+made, to one pass that takes sums over the gram without holding it
+(_gram_sums, which `verify` uses).
 
 Chunks run on as many threads as the CPUs the process may use, capped by
 the chunk count, each thread held to its own CPU; with one CPU or one chunk
@@ -26,8 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    _CHUNK_POINTS, Grid, Gram, SampledSignal, _block_sum, _chunkwise, check_gram, inner,
-    shift_lattice,
+    _CHUNK_POINTS, Grid, Gram, SampledSignal, _chunkwise, _sums, _table_sums, check_gram, inner,
+    output_lattice, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
 from .transform import _plan
@@ -97,19 +100,39 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list
     return views + [[(*r, slice(k, k + step)) for r in np.ndindex(*rows) for k in range(0, last, step)]]
 
 
-def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
-    """Tabulate the windowed transform over the (u, w) lattice."""
+def _gram_source(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):
+    """The gram of f under wspec and m as chunks: (shape, chunks, fill).
+
+    fill(chunk, out) writes the transforms of the chunk's shift rows into
+    out, which holds the chunk's cells, and returns them; stnslct_gram fills
+    its table with it, and _gram_sums takes sums from each chunk it fills.
+    """
     windows, chunks = _shifted_windows(f.grid, wspec, np.conj(wspec.window.values))
     plan = _plan(f.grid, m)
-    vals = np.empty(windows.shape, dtype=np.complex128)
 
-    def fill(chunk):
-        part = np.multiply(f.values, windows[chunk], out=vals[chunk])
+    def fill(chunk, out):
+        part = np.multiply(f.values, windows[chunk], out=out.reshape(windows[chunk].shape))
         rows = part.reshape(-1, *f.grid.counts)
         plan.forward_values(rows, out=rows)
+        return part
 
-    _chunkwise(chunks, fill, lambda chunk, out: None)
+    return windows.shape, chunks, fill
+
+
+def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -> Gram:
+    """Tabulate the windowed transform over the (u, w) lattice."""
+    shape, chunks, fill = _gram_source(f, wspec, m)
+    vals = np.empty(shape, dtype=np.complex128)
+    _chunkwise(chunks, lambda chunk: fill(chunk, vals[chunk]), lambda chunk, out: None)
     return Gram(m, f.grid, wspec.stride, vals)
+
+
+def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, needs) -> list:
+    """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), each
+    taken from a chunk as the gram's fill makes it, so no gram is held.
+    Each is, bit for bit, the same sum over the kept gram."""
+    cell = output_lattice(f.grid, m).cell * shift_lattice(f.grid, wspec.stride).vol  # Gram.cell
+    return _sums(needs, cell, *_gram_source(f, wspec, m))
 
 
 def stnslct_reconstruct(
@@ -161,14 +184,14 @@ def stnslct_reconstruct(
 def moyal(g1: Gram, g2: Gram) -> complex:
     """Pairing of two grams over their shared (u, w) lattice and matrix.
 
-    The sum runs block by block (grids._block_sum), and each block's terms
-    are a * np.conj(b), written as that expression: from 2^14 cells up,
-    numpy's temporary elision evaluates it as a multiply into the conj
-    temporary with the operands swapped, and swapped operands move the
-    imaginary part's last bit.  A block holds 2^14 cells or more exactly
-    when the whole gram does, so each block takes the path that one
-    product over the whole gram would, and the sum has its bytes.
+    The sum is taken in one pass over g1's blocks (grids._sums), and each
+    block's terms are a * np.conj(b), written as that expression: from 2^14
+    cells up, numpy's temporary elision evaluates it as a multiply into the
+    conj temporary with the operands swapped, and swapped operands move the
+    imaginary part's last bit.  A block, or a chunk of a gram that is never
+    held, has 2^14 cells or more exactly when the whole gram does, so each
+    takes the path that one product over the whole gram would, and the sum
+    has its bytes.
     """
     check_gram(g2, g1.signal_grid, g1.matrix, g1.stride)
-    a, b = g1.values.reshape(-1), g2.values.reshape(-1)
-    return complex(_block_sum(a.size, lambda block, out: a[block] * np.conj(b[block])) * g1.cell)
+    return _table_sums(g1, [("conj", g2.values.reshape(-1))])[0]

@@ -5,6 +5,12 @@ objects (signal, window, gram) and returns both together with the constant
 and the margin, so a caller can see not just pass/fail but how much slack
 the printed constants leave.  Weighted frequency sums (negative powers and
 logarithms of |w|) give the single zero-frequency cell weight zero.
+
+A report is the sums it needs over the gram plus a finish step (_on_gram):
+sum |V|^p, sum |V|^2 * weight, max |V| or a pairing, all taken in one pass
+over the gram's blocks (grids._sums).  The public reports read the sums
+from a kept gram; verify takes the same sums, bit for bit, from the gram's
+chunks as they are made, without holding the gram.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
-from .grids import Gram, SampledSignal, _power_sum, check_gram, lp_norm, norm_l2
+from .grids import Gram, SampledSignal, _power_sum, _table_sums, check_gram, lp_norm, norm_l2
 from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
 from .transform import _amplitude
@@ -65,6 +71,20 @@ def _require_nonzero(f: SampledSignal) -> float:
     return nf
 
 
+def _on_gram(build, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, gram: Gram,
+             **kwargs) -> UPReport:
+    """The report of build, its sums read from a kept gram.
+
+    A build(f, wspec, m, wgrid, **kwargs) gives (needs, finish): the sums
+    (grids._sums) it needs over the gram on output lattice wgrid, and the
+    step that turns them into the report.  verify.run_suite takes the same
+    sums from a gram that is never held (shorttime._gram_sums).
+    """
+    check_gram(gram, f.grid, m, wspec.stride)
+    needs, finish = build(f, wspec, m, gram.wgrid, **kwargs)
+    return finish(*_table_sums(gram, needs))
+
+
 def dispersion_spatial(f: SampledSignal) -> float:
     """Second moment vol * sum |x|^2 |f|^2 about the coordinate origin."""
     _require_nonzero(f)
@@ -89,6 +109,19 @@ def _off_zero(r: np.ndarray, fn) -> np.ndarray:
     return out
 
 
+def _heisenberg(f, wspec, m, wgrid):
+    nphi = math.sqrt(wspec.norm2)
+    spatial = dispersion_spatial(f)
+    constant = m.n * m.sigma_min_b / (4.0 * math.pi)
+    rhs = constant * norm_l2(f) ** 2 * nphi
+
+    def finish(spectral):
+        lhs = math.sqrt(spectral) * math.sqrt(spatial * wspec.norm2) / nphi
+        return UPReport("heisenberg", lhs, rhs, constant, lhs - rhs)
+
+    return [(2.0, sum(mm * mm for mm in wgrid.point_meshes()))], finish
+
+
 def heisenberg_report(
     f: SampledSignal,
     wspec: WindowSpec,
@@ -101,13 +134,7 @@ def heisenberg_report(
     another stride or under another matrix raises GridMismatch, here and in
     every report.
     """
-    check_gram(gram, f.grid, m, wspec.stride)
-    nphi = math.sqrt(wspec.norm2)
-    lhs = (math.sqrt(dispersion_spectral(gram))
-           * math.sqrt(dispersion_spatial(f) * wspec.norm2) / nphi)
-    constant = m.n * m.sigma_min_b / (4.0 * math.pi)
-    rhs = constant * norm_l2(f) ** 2 * nphi
-    return UPReport("heisenberg", lhs, rhs, constant, lhs - rhs)
+    return _on_gram(_heisenberg, f, wspec, m, gram)
 
 
 def pitt_constant(n: int, alpha: float) -> float:
@@ -122,6 +149,18 @@ def pitt_constant(n: int, alpha: float) -> float:
     return math.pi**alpha * (math.gamma((n - alpha) / 4.0) / math.gamma((n + alpha) / 4.0)) ** 2
 
 
+def _pitt(f, wspec, m, wgrid, alpha):
+    alpha = float(alpha)
+    constant = pitt_constant(m.n, alpha)
+    _require_nonzero(f)
+    weight = None
+    if alpha > 0.0:
+        weight = _off_zero(_radius(wgrid.point_meshes()), lambda r: r ** (-alpha))
+    moment = _power_sum(f, 2.0, _radius(f.grid.mesh()) ** alpha)
+    rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
+    return [(2.0, weight)], lambda lhs: UPReport("pitt", lhs, rhs, constant, rhs - lhs)
+
+
 def pitt_report(
     f: SampledSignal,
     wspec: WindowSpec,
@@ -130,18 +169,21 @@ def pitt_report(
     gram: Gram,
 ) -> UPReport:
     """Weighted-energy bound: |w|^(-a) gram energy vs the |x|^a moment of f."""
-    alpha = float(alpha)
-    constant = pitt_constant(m.n, alpha)
-    check_gram(gram, f.grid, m, wspec.stride)
-    _require_nonzero(f)
+    return _on_gram(_pitt, f, wspec, m, gram, alpha=alpha)
 
-    weight = None
-    if alpha > 0.0:
-        weight = _off_zero(_radius(gram.wgrid.point_meshes()), lambda r: r ** (-alpha))
-    lhs = _power_sum(gram, 2.0, weight)
-    moment = _power_sum(f, 2.0, _radius(f.grid.mesh()) ** alpha)
-    rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
-    return UPReport("pitt", lhs, rhs, constant, rhs - lhs)
+
+def _lieb(f, wspec, m, wgrid, p):
+    p = float(p)
+    if not (2.0 <= p < math.inf):
+        raise BadP(f"p = {p} must be finite and >= 2")
+    nf = _require_nonzero(f)
+    constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
+
+    def finish(total):
+        lhs = total / (nf * math.sqrt(wspec.norm2)) ** p
+        return UPReport("lieb", lhs, constant, constant, constant - lhs)
+
+    return [(p, None)], finish
 
 
 def lieb_report(
@@ -156,14 +198,21 @@ def lieb_report(
     Normalization is applied by scaling the computed integral (the gram is
     p-homogeneous in each argument), so a shared precomputed gram works.
     """
+    return _on_gram(_lieb, f, wspec, m, gram, p=p)
+
+
+def _hausdorff_young(f, wspec, m, wgrid, p):
     p = float(p)
-    if not (2.0 <= p < math.inf):
-        raise BadP(f"p = {p} must be finite and >= 2")
-    nf = _require_nonzero(f)
-    check_gram(gram, f.grid, m, wspec.stride)
-    lhs = _power_sum(gram, p) / (nf * math.sqrt(wspec.norm2)) ** p
-    constant = (2.0 / p) * abs(m.det_b) ** (1.0 - p / 2.0)
-    return UPReport("lieb", lhs, constant, constant, constant - lhs)
+    if not (1.0 <= p <= 2.0):
+        raise BadP(f"p = {p} must sit in [1, 2]")
+    q = math.inf if p == 1.0 else p / (p - 1.0)
+    rhs = lp_norm(wspec.window, q) * lp_norm(f, p)
+
+    def finish(total):
+        lhs = total if q == math.inf else total ** (1.0 / q)  # lp_norm(gram, q)
+        return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs)
+
+    return [(q, None)], finish
 
 
 def hausdorff_young_report(
@@ -174,18 +223,24 @@ def hausdorff_young_report(
     gram: Gram,
 ) -> UPReport:
     """||gram||_q against ||phi||_q ||f||_p for conjugate exponents."""
-    p = float(p)
-    if not (1.0 <= p <= 2.0):
-        raise BadP(f"p = {p} must sit in [1, 2]")
-    q = math.inf if p == 1.0 else p / (p - 1.0)
-    check_gram(gram, f.grid, m, wspec.stride)
-    lhs = lp_norm(gram, q)
-    rhs = lp_norm(wspec.window, q) * lp_norm(f, p)
-    return UPReport("hausdorff-young", lhs, rhs, 1.0, rhs - lhs)
+    return _on_gram(_hausdorff_young, f, wspec, m, gram, p=p)
 
 
 # psi(n/2) in closed form for the two supported dimensions
 _DIGAMMA_HALF_N = {1: -np.euler_gamma - 2.0 * math.log(2.0), 2: -np.euler_gamma}
+
+
+def _log(f, wspec, m, wgrid):
+    nf = _require_nonzero(f)
+    xterm = _power_sum(f, 2.0, _off_zero(_radius(f.grid.mesh()), np.log))
+    constant = _DIGAMMA_HALF_N[m.n] - math.log(math.pi)
+    rhs = constant * wspec.norm2 * nf**2
+
+    def finish(wterm):
+        lhs = wterm + wspec.norm2 * xterm
+        return UPReport("logarithmic", lhs, rhs, constant, lhs - rhs)
+
+    return [(2.0, _off_zero(_radius(wgrid.base.mesh()), np.log))], finish
 
 
 def log_report(
@@ -200,15 +255,14 @@ def log_report(
     (where it is exactly ln |omega|); the zero cells of both logarithmic
     weights are dropped.
     """
-    nf = _require_nonzero(f)
-    check_gram(gram, f.grid, m, wspec.stride)
+    return _on_gram(_log, f, wspec, m, gram)
 
-    wterm = _power_sum(gram, 2.0, _off_zero(_radius(gram.wgrid.base.mesh()), np.log))
-    xterm = _power_sum(f, 2.0, _off_zero(_radius(f.grid.mesh()), np.log))
-    lhs = wterm + wspec.norm2 * xterm
-    constant = _DIGAMMA_HALF_N[m.n] - math.log(math.pi)
-    rhs = constant * wspec.norm2 * nf**2
-    return UPReport("logarithmic", lhs, rhs, constant, lhs - rhs)
+
+def _boundedness(f, wspec, m, wgrid):
+    bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
+    constant = (2.0 * math.pi) ** (-m.n / 2.0)
+    return [(math.inf, None)], lambda sup: UPReport(
+        "boundedness", sup, sup + (bound - sup), constant, bound - sup)
 
 
 def boundedness_report(
@@ -222,11 +276,7 @@ def boundedness_report(
     The rhs is written as sup + margin, not as the bound itself, and the
     two can differ in the last bit.
     """
-    check_gram(gram, f.grid, m, wspec.stride)
-    bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
-    sup = lp_norm(gram, math.inf)
-    margin = bound - sup
-    return UPReport("boundedness", sup, sup + margin, (2.0 * math.pi) ** (-m.n / 2.0), margin)
+    return _on_gram(_boundedness, f, wspec, m, gram)
 
 
 def boundedness_margin(
@@ -271,9 +321,10 @@ def concentration(
     sb = _check_box(s_box, f.grid, "S")
     eb = _check_box(e_box, g.wgrid.base, "E")
 
+    gram_tail, gram_total = _table_sums(g, [(2.0, ~_inside(g.wgrid.base.mesh(), eb)), (2.0, None)])
     return ConcentrationSets(
         f_tail=_power_sum(f, 2.0, ~_inside(f.grid.mesh(), sb)),
-        gram_tail=_power_sum(g, 2.0, ~_inside(g.wgrid.base.mesh(), eb)),
+        gram_tail=gram_tail,
         f_total=_power_sum(f, 2.0),
-        gram_total=_power_sum(g, 2.0),
+        gram_total=gram_total,
     )

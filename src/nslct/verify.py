@@ -2,9 +2,10 @@
 
 Each suite produces flat records (both sides, constant, margin, tolerance,
 pass flag) so a run can be serialized, diffed and re-run bit-identically
-from the same seed.  Each (signal, window, matrix) combination's gram is
-built once, shared by every wanted suite, and dropped before the next one,
-so a run holds one combination gram at a time.
+from the same seed.  Each (signal, window, matrix) combination's reports
+are finished from sums that one pass takes from the combination's gram
+chunk by chunk, as the chunks are made, for every wanted suite at once, so
+a run never holds a combination gram.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from functools import partial
 import numpy as np
 
 from .errors import BadParam
-from .grids import Grid, Gram, SampledSignal, check_gram, check_seed, lp_norm, norm_l2, synthesize
-from .shorttime import WindowSpec, moyal, stnslct_gram
+from .grids import Grid, SampledSignal, check_seed, lp_norm, norm_l2, output_lattice, synthesize
+from .shorttime import WindowSpec, _gram_sums, moyal, stnslct_gram
 from .symplectic import (
     FreeSymplecticMatrix,
     fourier,
@@ -28,13 +29,14 @@ from .transform import nslct_fast
 from .uncertainty import (
     TOL_INEQUALITY,
     UPReport,
+    _boundedness,
+    _hausdorff_young,
+    _heisenberg,
+    _lieb,
+    _log,
+    _pitt,
     boundedness_report,
-    hausdorff_young_report,
-    heisenberg_report,
-    lieb_report,
-    log_report,
     margin_scale,
-    pitt_report,
 )
 
 SUITE_NAMES = ("parseval", "moyal", "bounded", "heisenberg", "pitt", "lieb", "hy", "log")
@@ -173,13 +175,11 @@ def _suite_parseval(seed: int) -> list[Record]:
     return out
 
 
-def _moyal_energy(
-    f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, gram: Gram
-) -> UPReport:
-    """Moyal's formula on the diagonal: <gram, gram> = ||f||^2 ||phi||^2."""
-    check_gram(gram, f.grid, m, wspec.stride)
-    return _identity_report("moyal-energy", moyal(gram, gram).real,
-                            norm_l2(f) ** 2 * wspec.norm2)
+def _moyal_energy(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, wgrid):
+    """Moyal's formula on the diagonal: <gram, gram> = ||f||^2 ||phi||^2, as a
+    report build (uncertainty._on_gram)."""
+    rhs = norm_l2(f) ** 2 * wspec.norm2
+    return [("conj", None)], lambda pairing: _identity_report("moyal-energy", pairing.real, rhs)
 
 
 def _moyal_pairs(seed: int) -> list[Record]:
@@ -217,37 +217,39 @@ def _matched_gaussian() -> list[Record]:
     return [_equality("bounded", rep, "matched-gaussian")]
 
 
-# per combo suite: (report, keyword arguments, params suffix, record rule),
-# applied in this order to each combo's shared gram; the suffixes are
-# written out because reports carry them verbatim
+# per combo suite: (report build, keyword arguments, params suffix, record
+# rule), applied in this order to each combo's gram (uncertainty._on_gram);
+# the suffixes are written out because reports carry them verbatim
 _FAMILIES = {
     "moyal": ((_moyal_energy, {}, "", partial(_identity, tol=TOL_MOYAL)),),
-    "bounded": ((boundedness_report, {}, "", _ineq),),
-    "heisenberg": ((heisenberg_report, {}, "", _ineq),),
+    "bounded": ((_boundedness, {}, "", _ineq),),
+    "heisenberg": ((_heisenberg, {}, "", _ineq),),
     "pitt": (
-        (pitt_report, {"alpha": 0.0}, ";alpha=0", _equality),
-        (pitt_report, {"alpha": 0.5}, ";alpha=0.5", _ineq),
+        (_pitt, {"alpha": 0.0}, ";alpha=0", _equality),
+        (_pitt, {"alpha": 0.5}, ";alpha=0.5", _ineq),
     ),
     "lieb": (
-        (lieb_report, {"p": 2.0}, ";p=2", _equality),
-        (lieb_report, {"p": 4.0}, ";p=4", _ineq),
+        (_lieb, {"p": 2.0}, ";p=2", _equality),
+        (_lieb, {"p": 4.0}, ";p=4", _ineq),
     ),
     "hy": (
-        (hausdorff_young_report, {"p": 1.0}, ";p=1.0", _ineq),
-        (hausdorff_young_report, {"p": 1.5}, ";p=1.5", _ineq),
-        (hausdorff_young_report, {"p": 2.0}, ";p=2.0", _equality),
+        (_hausdorff_young, {"p": 1.0}, ";p=1.0", _ineq),
+        (_hausdorff_young, {"p": 1.5}, ";p=1.5", _ineq),
+        (_hausdorff_young, {"p": 2.0}, ";p=2.0", _equality),
     ),
-    "log": ((log_report, {}, "", _ineq),),
+    "log": ((_log, {}, "", _ineq),),
 }
 
 
 def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]]:
     """Run one suite (or "all"); returns records and per-suite margin floors.
 
-    Each combo is visited once: its gram is built, every wanted suite takes
-    its records from it, and it is dropped before the next one is built.
-    The floors are min(margin / scale) across a suite's records: the
-    empirical slack the printed constants leave on this seeded family.
+    Each combo is visited once: one pass takes every sum that the reports
+    of the wanted suites need from the combo's gram chunks as they are made
+    (shorttime._gram_sums), so the gram is never held, and each report is
+    finished from its sums.  The floors are min(margin / scale) across a
+    suite's records: the empirical slack the printed constants leave on
+    this seeded family.
     """
     wanted = SUITE_NAMES if suite == "all" else (suite,)
     for name in wanted:
@@ -260,12 +262,12 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
     if "parseval" in wanted:
         by_suite["parseval"] = _suite_parseval(seed)
     for c in _combos(seed) if on_combos else ():
-        gram = stnslct_gram(c.f, c.wspec, c.m)
-        for name in on_combos:
-            by_suite[name].extend(
-                rule(name, report(c.f, c.wspec, c.m, gram=gram, **kwargs), c.params + suffix)
-                for report, kwargs, suffix, rule in _FAMILIES[name])
-        del gram  # freed before the next combo's gram is built
+        wgrid = output_lattice(c.f.grid, c.m)
+        rows = [(name, rule, c.params + suffix, *build(c.f, c.wspec, c.m, wgrid, **kwargs))
+                for name in on_combos for build, kwargs, suffix, rule in _FAMILIES[name]]
+        sums = iter(_gram_sums(c.f, c.wspec, c.m, [n for *_, needs, _ in rows for n in needs]))
+        for name, rule, params, needs, finish in rows:
+            by_suite[name].append(rule(name, finish(*[next(sums) for _ in needs]), params))
     if "moyal" in wanted:
         by_suite["moyal"].extend(_moyal_pairs(seed))
     if "bounded" in wanted:

@@ -1,5 +1,5 @@
-"""Continuum fidelity: sampled spectra and gram rows of complex Gaussians
-against their closed forms over the whole output lattice.
+"""Continuum fidelity: sampled spectra, gram rows, 2-D compositions and
+report values of complex Gaussians against their closed forms.
 
 Parseval, the round trip and Moyal hold exactly for the Riemann sum, so
 they pass even where the sum is far from the integral; these checks do
@@ -10,7 +10,11 @@ the oracle can fail.
 import numpy as np
 import pytest
 
-from nslct import Grid, SampledSignal, WindowSpec, nslct_fast, preset, random_free_matrix, stnslct_gram
+from nslct import (
+    Grid, SampledSignal, WindowSpec, boundedness_report, compose, hausdorff_young_report, heisenberg_report,
+    lieb_report, nslct_fast, output_lattice, preset, random_free_matrix, shorttime, spectrum_as_signal,
+    stnslct_gram, synthesize, uncertainty,
+)
 
 from helpers import fft_lattice, gaussian, gaussian_samples, grid1, grid2, rel_max_err
 
@@ -75,3 +79,100 @@ def test_gram_rows_match_the_closed_form(case):
         want = gaussian(p_mat + p_w, p_w @ u, np.exp(-0.5 * u @ p_w @ u), _blocks(m), lattice)
         assert rel_max_err(gram.values[idx].ravel(), want) <= BOUND
     assert np.all(shifts[0] == 0.0) and np.any(shifts[1] != 0.0)  # one centred row, one not
+
+
+# ---------------------------------------------------------------------------
+# composition: M2's closed form applied to M1's closed form
+
+
+def _transformed_gaussian(p_mat, q_vec, scale, m):
+    """(P', q', scale') with gaussian(p_mat, q_vec, scale, m, w) =
+    scale' exp(-w'P'w/2 + q'.w): the closed form under m is again a Gaussian.
+
+    With Q = P - i B^-1 A, expanding gaussian's exponent in w gives
+    P' = B^-T Q^-1 B^-1 - i D B^-1 and q' = -i B^-T Q^-1 q.
+    """
+    a, b, _c, d = _blocks(m)
+    n = b.shape[0]
+    binv = np.linalg.inv(b)
+    qm = np.asarray(p_mat, dtype=complex) - 1j * binv @ a
+    qinv = np.linalg.inv(qm)
+    p_out = binv.T @ qinv @ binv - 1j * d @ binv
+    q_out = -1j * binv.T @ qinv @ np.asarray(q_vec, dtype=complex)
+    amp = (2.0 * np.pi) ** (-n / 2.0) / np.sqrt(abs(np.linalg.det(b)))
+    scale_out = (amp * scale * (2.0 * np.pi) ** (n / 2.0) / np.prod(np.sqrt(np.linalg.eigvals(qm)))
+                 * np.exp(0.5 * np.asarray(q_vec) @ qinv @ np.asarray(q_vec)))
+    return 0.5 * (p_out + p_out.T), q_out, scale_out
+
+
+def _metaplectic_sign(got: np.ndarray, want: np.ndarray) -> float:
+    """The sign s in got = s * want, checked to BOUND of the peak."""
+    sign = 1.0 if np.vdot(want, got).real >= 0.0 else -1.0
+    assert rel_max_err(got, sign * want) <= BOUND
+    return sign
+
+
+def test_2d_composition_follows_the_closed_form_up_to_the_metaplectic_sign():
+    """Both matrices mix the axes (B with nonzero off-diagonal entries)."""
+    m1 = random_free_matrix(np.random.default_rng(7), 2)
+    m2 = random_free_matrix(np.random.default_rng(8), 2)
+    p_mat, q_vec = P_2D.astype(complex), np.array([0.3 + 0.2j, -0.1j])
+    points = fft_lattice(grid2(), np.eye(2))
+    mid = _transformed_gaussian(p_mat, q_vec, 1.0, m1)
+    # the intermediate form is M1's closed form itself
+    w = points @ m1.b.T
+    first = mid[2] * np.exp(-0.5 * np.einsum("pi,ij,pj->p", w, mid[0], w) + w @ mid[1])
+    assert rel_max_err(first, gaussian(p_mat, q_vec, 1.0, _blocks(m1), w)) <= BOUND
+    m21 = compose(m2, m1)
+    for b in (m1.b, m2.b, m21.b):
+        assert np.count_nonzero(b - np.diag(np.diag(b))) == 2
+    w = points @ m21.b.T
+    _metaplectic_sign(gaussian(*mid, _blocks(m2), w), gaussian(p_mat, q_vec, 1.0, _blocks(m21), w))
+
+
+def test_sampled_chain_follows_the_composed_closed_form():
+    """nslct_fast(spectrum_as_signal(nslct_fast(f, M1)), M2) for M1 with
+    B = I and a non-separable input chirp, M2 mixing the axes."""
+    grid = grid2()
+    m1 = compose(preset("fresnel", 2, b=np.array([[0.3, 0.1], [0.1, 0.2]])), preset("fourier", 2))
+    m2 = random_free_matrix(np.random.default_rng(7), 2)
+    assert np.array_equal(m1.b, np.eye(2)) and np.count_nonzero(m1.a - np.diag(np.diag(m1.a))) == 2
+    p_mat, q_vec = P_2D.astype(complex), np.zeros(2, dtype=complex)
+    f = SampledSignal(grid, gaussian_samples(grid, p_mat, q_vec))
+    mid = spectrum_as_signal(nslct_fast(f, m1))
+    chain = nslct_fast(mid, m2)
+    want = gaussian(p_mat, q_vec, 1.0, _blocks(compose(m2, m1)), fft_lattice(mid.grid, m2.b))
+    _metaplectic_sign(chain.values.ravel(), want)
+
+
+# ---------------------------------------------------------------------------
+# report values: matched Gaussians f = phi (sigma = 1) under fourier(n) at
+# stride 1, where |V(u, w)| = (2 pi)^(-n/2) exp(-(|u|^2 + |w|^2) / 4)
+
+REPORTS = {  # name: (public report, its build, keyword arguments, closed form of lhs in n)
+    "heisenberg": (heisenberg_report, uncertainty._heisenberg, {}, lambda n: n / np.sqrt(2.0)),
+    "lieb": (lieb_report, uncertainty._lieb, {"p": 4.0}, lambda n: (4.0 * np.pi) ** -n),
+    "hausdorff-young": (hausdorff_young_report, uncertainty._hausdorff_young, {"p": 1.5},
+                        lambda n: ((2.0 * np.pi) ** -1.5 * 4.0 * np.pi / 3.0) ** (n / 3.0)),
+    "boundedness": (boundedness_report, uncertainty._boundedness, {}, lambda n: (2.0 * np.pi) ** (-n / 2.0)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matched_gaussian_reports_meet_their_closed_forms(n):
+    """Each lhs from a kept gram (the public report) and from the gram's
+    chunks as they are made (the pass `verify` runs), to 1e-12 relative;
+    the 2-D gram has 64^2 x 64^2 cells."""
+    grid = grid1() if n == 1 else grid2()
+    f = synthesize("gaussian", grid, sigma=1.0)
+    wspec, m = WindowSpec(f, stride=1), preset("fourier", n)
+    gram = stnslct_gram(f, wspec, m)
+    kept = {name: report(f, wspec, m, gram=gram, **kw).lhs for name, (report, _, kw, _) in REPORTS.items()}
+    del gram
+    builds = {name: build(f, wspec, m, output_lattice(grid, m), **kw) for name, (_, build, kw, _) in REPORTS.items()}
+    sums = iter(shorttime._gram_sums(f, wspec, m, [need for needs, _ in builds.values() for need in needs]))
+    streamed = {name: finish(*[next(sums) for _ in needs]).lhs for name, (needs, finish) in builds.items()}
+    for name, (*_, closed_form) in REPORTS.items():
+        want = closed_form(n)
+        for got in (kept[name], streamed[name]):
+            assert abs(got - want) <= 1e-12 * want, (name, got, want)

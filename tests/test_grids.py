@@ -224,32 +224,24 @@ def test_lp_norm_limits():
         lp_norm(f, 0.5)
 
 
-def test_magnitudes_are_bit_equal_read_only_and_taken_once():
+def test_lp_norms_keep_the_bytes_of_one_sum_over_the_whole_table():
     g = grid2()
     f = synthesize("chirp", g, freq=(1.0, -0.5), rate=(0.3, 0.2), sigma=1.5)
     m = preset("frft", 2, alpha=0.9)
     spec = nslct_fast(f, m)
     gram = stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=2), m)
-    assert gram.values.size // grids._CHUNK_POINTS == 128  # p not in {1, 2} sums block by block
+    assert gram.values.size // grids._CHUNK_POINTS == 128  # the gram's sums run block by block
     for obj in (f, spec, gram):
-        mags, squares = obj.magnitudes
-        assert obj.magnitudes[0] is mags and obj.magnitudes[1] is squares
         want = np.abs(obj.values)
-        assert mags.tobytes() == want.tobytes()
-        assert squares.tobytes() == (want**2).tobytes()
-        for table in (mags, squares):
-            with pytest.raises(ValueError):
-                table[0] = 1.0
-        # the tables give every norm the bytes of a fresh |V| ** p
         for p in (1.0, 1.5, 2.0, 3.0, 4.0):
             assert lp_norm(obj, p) == float((obj.cell * np.sum(want**p)) ** (1.0 / p))
         assert lp_norm(obj, np.inf) == float(np.max(want))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype, monkeypatch):
-    # report sums rest on numpy's pairwise np.sum splitting a contiguous 2^k
-    # array at exact halves; a numpy that sums otherwise fails here
+def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype):
+    # every sum of the pass rests on numpy's pairwise np.sum splitting a
+    # contiguous 2^k array at exact halves; a numpy that sums otherwise fails here
     rng = np.random.default_rng(11)
     x = rng.standard_normal(2**22)
     if dtype is np.complex128:
@@ -257,12 +249,10 @@ def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype, monkeypatch):
     for j in range(3, 23):
         cells = x[: 2**j]
         want = np.sum(cells).tobytes()
-        assert grids._block_sum(2**j, lambda s, out: cells[s]).tobytes() == want, j
-    for block in (2**7, 2**11):  # smaller blocks, deeper trees
-        monkeypatch.setattr(grids, "_CHUNK_POINTS", block)
-        for j in range(8, 17):
-            cells = x[: 2**j]
-            assert grids._block_sum(2**j, lambda s, out: cells[s]).tobytes() == np.sum(cells).tobytes()
+        for block in {grids._CHUNK_POINTS, 2**7, 2**11}:  # smaller blocks, deeper trees
+            block = min(block, 2**j)
+            sums = [np.sum(cells[k:k + block]) for k in range(0, 2**j, block)]
+            assert grids._tree(sums).tobytes() == want, (j, block)
 
 
 @settings(max_examples=40, deadline=None)

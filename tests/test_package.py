@@ -10,7 +10,9 @@ import pytest
 import nslct
 import nslct.cli
 import nslct.io
-from nslct import Grid, WindowSpec, grids, moyal, preset, stnslct_gram, synthesize, verify
+from nslct import (
+    Grid, WindowSpec, grids, moyal, preset, shorttime, stnslct_gram, synthesize, uncertainty, verify,
+)
 from nslct.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,9 +62,13 @@ def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
         wspec = WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride)
         gram = stnslct_gram(f, wspec, m)
         assert len(started) == threads, stride
-    # every report on the 64 x 256-cell combo gram sums one block, on this thread
-    for report, kwargs, _, _ in (row for rows in verify._FAMILIES.values() for row in rows):
-        report(f, wspec, m, gram=gram, **kwargs)
+    # every report on the 64 x 256-cell combo gram sums one block, on this
+    # thread, whether the gram is kept or streamed as `verify` does
+    needs = []
+    for build, kwargs, _, _ in (row for rows in verify._FAMILIES.values() for row in rows):
+        uncertainty._on_gram(build, f, wspec, m, gram, **kwargs)
+        needs += build(f, wspec, m, gram.wgrid, **kwargs)[0]
+    shorttime._gram_sums(f, wspec, m, needs)
     moyal(gram, stnslct_gram(synthesize("noise", g, seed=4), wspec, m))
     assert started == []
 

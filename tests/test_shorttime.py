@@ -365,6 +365,9 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
             assert np.array(grids._power_sum(gram, 3.0, weight)).tobytes() == np.array(want_sum).tobytes()
             assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
+            # the same sums from the gram's chunks as they are made, the gram never held
+            streamed = shorttime._gram_sums(f, wspec, m, [(3.0, weight), ("conj", None)])
+            assert np.array(streamed).tobytes() == np.array([want_sum, want_pairing]).tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads

@@ -1,8 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import nslct.verify
-from nslct import SUITE_NAMES, BadParam, Grid, grids, run_suite, stnslct_gram, synthesize, uncertainty
+from nslct import (
+    SUITE_NAMES, BadParam, Grid, WindowSpec, grids, preset, random_free_matrix, run_suite, shorttime,
+    stnslct_gram, synthesize,
+)
 from nslct.uncertainty import TOL_INEQUALITY
 from nslct.verify import TOL_CROSS, TOL_EQUALITY, TOL_MOYAL, TOL_PARSEVAL
 
@@ -103,47 +109,64 @@ def _bytes(x) -> bytes:
     return np.array(x).tobytes()
 
 
+def _sum_cases():
+    """(f, wspec, m, chunks of the gram's fill), where chunks and blocks differ or not."""
+    combos = nslct.verify._combos(1)
+    g = Grid.centered((256, 256), 0.1)
+    matched = synthesize("gaussian", Grid.centered(256, 0.1), sigma=1.0)
+    return [
+        (combos[0].f, combos[0].wspec, combos[0].m, 1),  # 1-D 64 x 256: one chunk, one block
+        (combos[-1].f, combos[-1].wspec, combos[-1].m, 128),  # 2-D 32^2 x 64^2: chunk = block
+        # 2-D 8^2 x 256^2: each chunk one shift, two blocks
+        (synthesize("noise", g, seed=5, band=0.4), WindowSpec(synthesize("gaussian", g, sigma=1.3), stride=32),
+         random_free_matrix(np.random.default_rng(5), 2), 64),
+        (matched, WindowSpec(matched, stride=1), preset("fourier", 1), 2),  # 1-D 256 x 256: two chunks, two blocks
+    ]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, monkeypatch):
-    """Every family row's power sums and Moyal pairings against the formulas
-    they replaced: cell * np.sum(powers * weight) and
-    np.sum(g1.values * np.conj(g2.values)), each over the whole table."""
+    """Every sum that every family row needs, and a Moyal cross pairing, taken
+    in one pass from a gram's chunks as they are made and from the kept gram,
+    against the formulas over the whole table: cell * np.sum(powers * weight),
+    np.max(|V|) and np.sum(g1.values * np.conj(g2.values)) * cell."""
     monkeypatch.setattr(grids, "_WORKERS", workers)
-    sums, pairings = [], []
-    power_sum, pairing = grids._power_sum, nslct.verify.moyal
+    for f, wspec, m, chunks in _sum_cases():
+        assert len(shorttime._gram_source(f, wspec, m)[1]) == chunks
+        gram = stnslct_gram(f, wspec, m)
+        needs = [need for rows in nslct.verify._FAMILIES.values() for build, kwargs, _, _ in rows
+                 for need in build(f, wspec, m, gram.wgrid, **kwargs)[0]]
+        assert {p for p, _ in needs} == {"conj", np.inf, 2.0, 3.0, 4.0}
+        assert sum(w is not None for p, w in needs if p == 2.0) == 3
+        other = stnslct_gram(nslct.verify._odd_partner(f), wspec, m)
+        needs.append(("conj", other.values.reshape(-1)))
+        streamed = shorttime._gram_sums(f, wspec, m, needs)
+        assert _bytes(streamed) == _bytes(grids._table_sums(gram, needs))
+        mags = np.abs(gram.values)
+        for (p, w), got in zip(needs, streamed):
+            if p == "conj":
+                b = gram.values if w is None else w.reshape(gram.values.shape)
+                want = complex(np.sum(gram.values * np.conj(b)) * gram.cell)
+            elif p == np.inf:
+                want = float(np.max(mags))
+            else:
+                powers = mags if p == 1.0 else mags**2 if p == 2.0 else mags**p
+                want = float(gram.cell * np.sum(powers if w is None else powers * w))
+            assert _bytes(got) == _bytes(want), (chunks, p)
+        del gram, other, mags
 
-    def recorded_sum(obj, p, weight=None):
-        sums.append((obj, p, weight, power_sum(obj, p, weight)))
-        return sums[-1][-1]
 
-    def recorded_pairing(g1, g2):
-        pairings.append((g1, g2, pairing(g1, g2)))
-        return pairings[-1][-1]
-
-    monkeypatch.setattr(grids, "_power_sum", recorded_sum)
-    monkeypatch.setattr(uncertainty, "_power_sum", recorded_sum)
-    monkeypatch.setattr(nslct.verify, "moyal", recorded_pairing)
-    combos = nslct.verify._combos(1)
-    for c, blocks in ((combos[0], 1), (combos[-1], 128)):  # 1-D 64 x 256; 2-D 32^2 x 64^2
-        gram = stnslct_gram(c.f, c.wspec, c.m)
-        assert gram.values.size // min(gram.values.size, grids._CHUNK_POINTS) == blocks
-        for report, kwargs, _, _ in (row for rows in nslct.verify._FAMILIES.values() for row in rows):
-            report(c.f, c.wspec, c.m, gram=gram, **kwargs)
-        assert any(obj is gram and p == 4.0 for obj, p, _, _ in sums)
-        assert any(obj is gram and weight is not None for obj, _, weight, _ in sums)
-        other = stnslct_gram(nslct.verify._odd_partner(c.f), c.wspec, c.m)
-        recorded_pairing(gram, other)
-        assert [g1 is gram and g2 is gram for g1, g2, _ in pairings] == [True, False]
-        for obj, p, weight, got in sums:
-            mags = np.abs(obj.values)
-            powers = mags if p == 1.0 else mags**2 if p == 2.0 else mags**p
-            want = float(obj.cell * np.sum(powers if weight is None else powers * weight))
-            assert _bytes(got) == _bytes(want), (c.params, p)
-        for g1, g2, got in pairings:
-            want = complex(np.sum(g1.values * np.conj(g2.values)) * g1.cell)
-            assert _bytes(got.real) == _bytes(want.real) and _bytes(got.imag) == _bytes(want.imag)
-        sums.clear()
-        pairings.clear()
+def test_run_suite_builds_no_combo_gram(monkeypatch):
+    combos, grams = [], []
+    make_combos, make_gram = nslct.verify._combos, nslct.verify.stnslct_gram
+    monkeypatch.setattr(nslct.verify, "_combos", lambda seed: combos.extend(make_combos(seed)) or combos)
+    monkeypatch.setattr(nslct.verify, "stnslct_gram",
+                        lambda f, wspec, m: grams.append((f, m)) or make_gram(f, wspec, m))
+    run_suite("all", 1)
+    assert len(combos) == 24
+    # only the Moyal cross pairs (two grams each) and the matched Gaussian
+    assert len(grams) == 9
+    assert not any(f is c.f or m is c.m for f, m in grams for c in combos)
 
 
 def test_run_suite_records_do_not_depend_on_the_thread_count(monkeypatch):
@@ -152,3 +175,15 @@ def test_run_suite_records_do_not_depend_on_the_thread_count(monkeypatch):
         monkeypatch.setattr(grids, "_WORKERS", workers)
         runs.append(repr(run_suite("all", 1)))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
+def test_verify_cli_peak_memory_stays_under_100_mb(tmp_path):
+    """A held 2-D combo gram with its |V| and |V|^2 tables took the job to
+    170 MB; streamed, it stays near the interpreter's own 40-odd MB."""
+    code = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
+    job = [sys.executable, "-m", "nslct.cli", "verify", "--suite", "all", "--seed", "1",
+           "--out", str(tmp_path / "report.csv")]
+    proc = subprocess.run([sys.executable, "-c", code, *job], capture_output=True, text=True, check=True)
+    assert int(proc.stderr.split()[-1]) < 100 * 1024
