@@ -14,7 +14,11 @@ one np.sum over the whole table without ever holding that table of terms.
 A kept table is read in _CHUNK_POINTS-cell blocks; the short-time gram's
 sums can also be taken from its chunks as they are made, so that the gram
 itself is never held (shorttime).  Chunks run on one thread per CPU the
-process may use (_chunkwise).
+process may use (_chunkwise): the calling thread hands out chunk numbers on
+a queue, a thread count + 1 ahead of the chunk it takes next, each thread
+works its chunks in its own slot (the sum pass keeps one scratch set per
+slot), and the first exception a thread reports is raised on the calling
+thread.
 """
 from __future__ import annotations
 
@@ -122,18 +126,9 @@ class SampledSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != self.grid.counts:
-            if vals.size != self.grid.size:
-                raise GridMismatch(
-                    f"value shape {vals.shape} does not fit grid {self.grid.counts}"
-                )
-            vals = vals.reshape(self.grid.counts)
-        if not np.all(np.isfinite(vals)):
+        _freeze_values(self, self.grid.counts, "signal")
+        if not np.all(np.isfinite(self.values)):
             raise BadParam("signal values must be finite")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def cell(self) -> float:
@@ -271,7 +266,13 @@ class Gram:
     @property
     def cell(self) -> float:
         """Volume of one (u, w) cell."""
-        return self.wgrid.cell * self.ugrid.vol
+        return gram_cell(self.wgrid, self.ugrid)
+
+
+def gram_cell(wgrid: WarpedGrid, ugrid: Grid) -> float:
+    """Volume of one (u, w) cell of a gram on shift lattice ugrid and output
+    lattice wgrid, whether the gram is kept (Gram.cell) or never held."""
+    return wgrid.cell * ugrid.vol
 
 
 def check_gram(g: Gram, grid: Grid, m: FreeSymplecticMatrix, stride: int | None = None):
@@ -315,77 +316,60 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 
 def _chunkwise(chunks: list, work, take) -> None:
-    """take(chunk, work(chunk)) for every chunk, in order, with work run on threads.
+    """take(chunk, work(chunk, slot)) for every chunk, in order, with work run on threads.
 
-    work runs on min(_WORKERS, len(chunks)) threads started here, each held
-    to its own CPU of the process, while the calling thread waits and
-    passes each result to take in chunk order.  (Left to the scheduler, the
-    threads of a call often shared one CPU of a 2-CPU Linux host and ran no
-    faster than one.)  Each thread takes the next chunk not yet taken, but
-    only once every chunk more than a thread count before it has been
-    passed on, so at most that count + 1 results are alive at once.  All
-    threads end before this returns, and the first exception from any of
-    them is raised here.
+    work runs on min(_WORKERS, len(chunks)) threads started here, slots 0,
+    1, ..., each held to its own CPU of the process; with one thread, it
+    runs in a plain loop on the calling thread as slot 0.  (Left to the
+    scheduler, the threads of a call often shared one CPU of a 2-CPU Linux
+    host and ran no faster than one.)  The calling thread hands out chunk
+    numbers on a queue, a thread count + 1 ahead of the chunk it passes to
+    take next, so at most that many results are alive at once, and passes
+    the results to take in chunk order.  The first exception that a thread
+    reports is raised here, and all threads end before this returns.
     """
     workers = min(_WORKERS, len(chunks))
     if workers == 1:
         for chunk in chunks:
-            take(chunk, work(chunk))
+            take(chunk, work(chunk, 0))
         return
+    import queue  # here, so that the plain loop and `import nslct.cli` never load it
+
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    cond = threading.Condition()
-    done: dict = {}
-    state = {"next": 0, "taken": 0, "error": None}
 
-    def fail(exc):
-        with cond:
-            state["error"] = state["error"] or exc
-            cond.notify_all()
-
-    def ready():
-        k = state["next"]
-        return state["error"] or k == len(chunks) or k <= state["taken"] + workers
-
-    def run(t):
+    def run(slot):
         try:
             if cpus:
-                os.sched_setaffinity(0, {cpus[t % len(cpus)]})
+                os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
         except OSError:  # the CPU left the process's set meanwhile: run unpinned
             pass
-        try:
-            while True:
-                with cond:
-                    cond.wait_for(ready)
-                    k = state["next"]
-                    if state["error"] or k == len(chunks):
-                        return
-                    state["next"] = k + 1
-                out = work(chunks[k])
-                with cond:
-                    done[k] = out
-                    cond.notify_all()
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            fail(exc)
+        while (k := todo.get()) is not None:
+            try:
+                done.put((k, work(chunks[k], slot), None))
+            except BaseException as exc:  # handed to the calling thread, which raises it
+                done.put((k, None, exc))
 
-    threads = [threading.Thread(target=run, args=(t,)) for t in range(workers)]
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
     for t in threads:
         t.start()
+    ahead = workers + 1
     try:
+        for k in range(min(ahead, len(chunks))):
+            todo.put(k)
+        made = {}
         for k, chunk in enumerate(chunks):
-            with cond:
-                cond.wait_for(lambda: state["error"] or k in done)
-                if state["error"]:
-                    raise state["error"]
-                out = done.pop(k)
-            take(chunk, out)
-            del out  # the chunk is freed before the next wait
-            with cond:
-                state["taken"] = k + 1
-                cond.notify_all()
-    except BaseException as exc:
-        fail(exc)
-        raise
+            while k not in made:
+                j, out, exc = done.get()
+                if exc is not None:
+                    raise exc
+                made[j] = out
+            take(chunk, made.pop(k))
+            if k + ahead < len(chunks):  # the chunk taken is freed first
+                todo.put(k + ahead)
     finally:
+        for _ in threads:
+            todo.put(None)
         for t in threads:
             t.join()
 
@@ -401,13 +385,13 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
     ("conj", b) for sum V * conj(b) * cell, b the flat cells of a table of
     V's shape, or None for V itself.  Results come in the order of needs.
 
-    The chunks run on _chunkwise's threads, each working in one set of
-    scratch arrays from the calling thread, and take |V| and |V|^2 once.
-    Each term is built in the ufuncs and operand order of its expression
-    over the whole table ((|V| ** p) * weight, V * np.conj(b)), summed by
-    one np.sum per chunk, and the chunk sums are added in a pairwise tree
-    (_tree), so each sum is, bit for bit, one np.sum over the whole table
-    of terms, without that table ever being held.
+    The chunks run on _chunkwise's threads, each thread slot working in its
+    own set of scratch arrays from the calling thread, and take |V| and
+    |V|^2 once.  Each term is built in the ufuncs and operand order of its
+    expression over the whole table ((|V| ** p) * weight, V * np.conj(b)),
+    summed by one np.sum per chunk, and the chunk sums are added in a
+    pairwise tree (_tree), so each sum is, bit for bit, one np.sum over the
+    whole table of terms, without that table ever being held.
     """
     keys = list({(p, id(w)): (p, w) for p, w in needs}.values())
     step = math.prod(shape) // len(chunks)
@@ -418,36 +402,31 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
 
     args = [w if w is None or p == "conj" else tiled(w) for p, w in keys]
     powers = [p for p, _ in keys if p != "conj"]
-    workers = min(_WORKERS, len(chunks))
-    free = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
-            for _ in range(workers)]
+    scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
+               for _ in range(min(_WORKERS, len(chunks)))]
 
-    def chunk_sums(item):
+    def chunk_sums(item, slot):
         k, chunk = item
-        scratch = free.pop()  # one set per thread: a thread works one chunk at a time
-        try:
-            values, mags, squares, terms = scratch
-            values = fill(chunk, values).reshape(-1)
-            if powers:
-                np.abs(values, out=mags)
-            if 2.0 in powers:
-                np.square(mags, out=squares)
-            out = []
-            for (p, _), w in zip(keys, args):
-                if p == "conj":  # this expression, for numpy's temporary elision (shorttime.moyal)
-                    b = values if w is None else w[k * step:(k + 1) * step]
-                    out.append(np.sum(values * np.conj(b)))
-                elif p == math.inf:
-                    out.append(np.max(mags))
-                else:
-                    t = mags if p == 1.0 else squares if p == 2.0 else np.power(mags, p, out=terms)
-                    if w is not None:
-                        j = k * step % w.size
-                        t = np.multiply(t, w[j:j + step], out=terms)
-                    out.append(np.sum(t))
-            return out
-        finally:
-            free.append(scratch)
+        values, mags, squares, terms = scratch[slot]
+        values = fill(chunk, values).reshape(-1)
+        if powers:
+            np.abs(values, out=mags)
+        if 2.0 in powers:
+            np.square(mags, out=squares)
+        out = []
+        for (p, _), w in zip(keys, args):
+            if p == "conj":  # this expression, for numpy's temporary elision (shorttime.moyal)
+                b = values if w is None else w[k * step:(k + 1) * step]
+                out.append(np.sum(values * np.conj(b)))
+            elif p == math.inf:
+                out.append(np.max(mags))
+            else:
+                t = mags if p == 1.0 else squares if p == 2.0 else np.power(mags, p, out=terms)
+                if w is not None:
+                    j = k * step % w.size
+                    t = np.multiply(t, w[j:j + step], out=terms)
+                out.append(np.sum(t))
+        return out
 
     per_chunk = []
     _chunkwise(list(enumerate(chunks)), chunk_sums, lambda item, sums: per_chunk.append(sums))

@@ -14,10 +14,14 @@ made, to one pass that takes sums over the gram without holding it
 
 Chunks run on as many threads as the CPUs the process may use, capped by
 the chunk count, each thread held to its own CPU; with one CPU or one chunk
-they run in a plain loop on the calling thread (grids._chunkwise).  No
-thread outlives the call that started it, and the bytes do not depend on
-the thread count: each chunk's arithmetic is fixed, and the overlap-add
-sums its rows in shift order on the calling thread.
+they run in a plain loop on the calling thread (grids._chunkwise).  The
+calling thread hands out chunk numbers on a queue, a thread count + 1 ahead
+of the chunk it takes next, takes the results in chunk order and raises the
+first exception a thread reports; each thread works in its own slot, which
+the gram fill and the overlap-add ignore.  No thread outlives the call that
+started it, and the bytes do not depend on the thread count: each chunk's
+arithmetic is fixed, and the overlap-add sums its rows in shift order on
+the calling thread.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    _CHUNK_POINTS, Grid, Gram, SampledSignal, _chunkwise, _sums, _table_sums, check_gram, inner,
-    output_lattice, shift_lattice,
+    _CHUNK_POINTS, Grid, Gram, SampledSignal, _chunkwise, _sums, _table_sums, check_gram, gram_cell,
+    inner, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
 from .transform import _plan
@@ -123,15 +127,16 @@ def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -
     """Tabulate the windowed transform over the (u, w) lattice."""
     shape, chunks, fill = _gram_source(f, wspec, m)
     vals = np.empty(shape, dtype=np.complex128)
-    _chunkwise(chunks, lambda chunk: fill(chunk, vals[chunk]), lambda chunk, out: None)
+    _chunkwise(chunks, lambda chunk, slot: fill(chunk, vals[chunk]), lambda chunk, out: None)
     return Gram(m, f.grid, wspec.stride, vals)
 
 
-def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, needs) -> list:
-    """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), each
-    taken from a chunk as the gram's fill makes it, so no gram is held.
-    Each is, bit for bit, the same sum over the kept gram."""
-    cell = output_lattice(f.grid, m).cell * shift_lattice(f.grid, wspec.stride).vol  # Gram.cell
+def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, wgrid, needs) -> list:
+    """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), whose
+    output lattice is wgrid, each taken from a chunk as the gram's fill makes
+    it, so no gram is held.  Each is, bit for bit, the same sum over the kept
+    gram."""
+    cell = gram_cell(wgrid, shift_lattice(f.grid, wspec.stride))
     return _sums(needs, cell, *_gram_source(f, wspec, m))
 
 
@@ -160,7 +165,7 @@ def stnslct_reconstruct(
     acc = np.zeros(grid.counts, dtype=np.complex128)
     partition = np.zeros(grid.counts)
 
-    def weighted(chunk):
+    def weighted(chunk, slot):
         part = plan.inverse_values(g.values[chunk].reshape(-1, *grid.counts))
         part = part.reshape(windows[chunk].shape)
         return np.multiply(part, windows[chunk], out=part)

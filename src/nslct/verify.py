@@ -265,7 +265,7 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
         wgrid = output_lattice(c.f.grid, c.m)
         rows = [(name, rule, c.params + suffix, *build(c.f, c.wspec, c.m, wgrid, **kwargs))
                 for name in on_combos for build, kwargs, suffix, rule in _FAMILIES[name]]
-        sums = iter(_gram_sums(c.f, c.wspec, c.m, [n for *_, needs, _ in rows for n in needs]))
+        sums = iter(_gram_sums(c.f, c.wspec, c.m, wgrid, [n for *_, needs, _ in rows for n in needs]))
         for name, rule, params, needs, finish in rows:
             by_suite[name].append(rule(name, finish(*[next(sums) for _ in needs]), params))
     if "moyal" in wanted:

@@ -1,3 +1,8 @@
+import math
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +51,18 @@ def test_grid_rejects_bad_shapes():
         Grid((8,), (-0.1,), (0.0,))
     with pytest.raises(NSLCTError):
         Grid((8, 8, 8), (0.1,) * 3, (0.0,) * 3)  # only n in {1, 2}
+    with pytest.raises(BadParam):
+        Grid.centered((8, 8), (0.1, 0.2, 0.3))  # per-axis values need 1 or n entries
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadParam):
+            Grid((8,), (0.1,), (bad,))
+    g, m = grid1(8, 0.5), preset("fourier", 1)
+    with pytest.raises(GridMismatch):
+        WarpedGrid(g, np.eye(2))
+    with pytest.raises(GridMismatch):
+        Spectrum(m, np.zeros(4), g)
+    with pytest.raises(GridMismatch):
+        Gram(m, grid1(16, 0.5), 2, np.zeros((16, 16)))  # the shift lattice has 8 rows
 
 
 def test_grid_refuses_non_integral_counts_and_keeps_numpy_ints():
@@ -153,6 +170,8 @@ def test_signal_requires_finite_values():
         SampledSignal(g, np.full(8, np.nan, dtype=complex))
     with pytest.raises(NSLCTError):
         SampledSignal(g, np.zeros(4, dtype=complex))  # wrong size
+    with pytest.raises(GridMismatch):  # the right size, transposed: never reshaped
+        SampledSignal(Grid.centered((16, 64), 0.1), np.zeros((64, 16)))
 
 
 def test_inner_and_norm_consistency():
@@ -213,6 +232,14 @@ def test_synthesize_rejects_unknown_kind_and_leftover_params():
         synthesize("sawtooth", g)
     with pytest.raises(BadParam):
         synthesize("gaussian", g, sigma=1.0, wavelength=3.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(BadParam):
+            synthesize("gaussian", g, sigma=sigma)
+    for band in (0.0, 1.5):
+        with pytest.raises(BadParam):
+            synthesize("noise", g, seed=1, band=band)
+    with pytest.raises(BadParam, match="all-zero"):  # every sample underflows to 0
+        synthesize("gaussian", grid1(), sigma=1e-3, center=0.05)
 
 
 def test_lp_norm_limits():
@@ -253,6 +280,74 @@ def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype):
             block = min(block, 2**j)
             sums = [np.sum(cells[k:k + block]) for k in range(0, 2**j, block)]
             assert grids._tree(sums).tobytes() == want, (j, block)
+
+
+# The chunk runner's promises over 64 chunks at 2 and 3 threads; work takes
+# (chunk, *slot), so these also hold a runner that passes no slot number.
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_chunk_runner_keeps_at_most_a_thread_count_plus_one_results_alive(workers, monkeypatch):
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    lock = threading.Lock()
+    alive = [0, 0]  # results started or made but not yet taken, and the most seen
+    taken = []
+
+    def work(chunk, *slot):
+        with lock:
+            alive[0] += 1
+            alive[1] = max(alive)
+        return chunk
+
+    def take(chunk, out):
+        time.sleep(1e-3)  # a slow consumer, which threads left unchecked would outrun
+        with lock:
+            alive[0] -= 1
+        taken.append(out)
+
+    grids._chunkwise(list(range(64)), work, take)
+    assert taken == list(range(64))
+    assert alive[1] <= workers + 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_chunk_runner_thread_is_held_to_one_cpu(workers, monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("needs an affinity set of 2 or more CPUs")
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    seen = {}
+
+    def work(chunk, *slot):
+        seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+        time.sleep(1e-3)  # long enough that every thread works chunks
+        return chunk
+
+    grids._chunkwise(list(range(64)), work, lambda chunk, out: None)
+    assert len(seen) == workers
+    assert all(len(sets) == 1 and len(next(iter(sets))) == 1 for sets in seen.values())
+    assert len({next(iter(sets)) for sets in seen.values()}) == min(workers, len(cpus))
+    assert os.sched_getaffinity(0) == set(cpus)  # the calling thread is never pinned
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failing_chunk_stops_the_chunk_runner_within_a_window(workers, monkeypatch):
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    boom = RuntimeError("third chunk")
+    started = []
+
+    def work(chunk, *slot):
+        started.append(chunk)
+        if chunk == 2:
+            raise boom
+        return chunk
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        grids._chunkwise(list(range(64)), work, lambda chunk, out: None)
+    assert err.value is boom
+    assert len(started) <= 3 + workers + 1
+    assert threading.active_count() == threads
 
 
 @settings(max_examples=40, deadline=None)

@@ -43,10 +43,11 @@ def test_cli_import_leaves_verify_and_uncertainty_unloaded():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # concurrent.futures costs 4-5 ms on every CLI job even after numpy
-    code = "import sys, nslct.cli; print('concurrent.futures' in sys.modules)"
+    # concurrent.futures costs 4-5 ms on every CLI job even after numpy; the
+    # chunk runner imports queue only when it starts threads
+    code = "import sys, nslct.cli; print(*(m in sys.modules for m in ('concurrent.futures', 'queue')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
@@ -68,7 +69,7 @@ def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
     for build, kwargs, _, _ in (row for rows in verify._FAMILIES.values() for row in rows):
         uncertainty._on_gram(build, f, wspec, m, gram, **kwargs)
         needs += build(f, wspec, m, gram.wgrid, **kwargs)[0]
-    shorttime._gram_sums(f, wspec, m, needs)
+    shorttime._gram_sums(f, wspec, m, gram.wgrid, needs)
     moyal(gram, stnslct_gram(synthesize("noise", g, seed=4), wspec, m))
     assert started == []
 

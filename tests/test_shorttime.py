@@ -58,6 +58,15 @@ def test_window_spec_validation():
         WindowSpec(SampledSignal(g, np.zeros(256, dtype=complex)), stride=1)
     with pytest.raises(TypeError):  # the squared norm is always computed
         WindowSpec(w, stride=1, norm2=5.0)
+    f, m = gaussian_1d(g), preset("fourier", 1)
+    with pytest.raises(GridMismatch):  # a window on another grid
+        stnslct_gram(f, WindowSpec(gaussian_1d(grid1(256, 0.2))), m)
+    off = Grid((256,), (0.1,), (-12.75,))  # origin half a sample off the lattice
+    with pytest.raises(GridMismatch, match="sample-aligned"):
+        stnslct_gram(gaussian_1d(off), WindowSpec(gaussian_1d(off)), m)
+    wspec = WindowSpec(w, stride=4)
+    with pytest.raises(BadParam, match="denominator"):
+        stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m, denominator="mean")
 
 
 def test_stride_must_divide_counts():
@@ -328,10 +337,10 @@ def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(
     chunkwise = grids._chunkwise
 
     def third_fails(chunks, work, take):
-        def work3(chunk):
+        def work3(chunk, slot):
             if next(calls) == 3:
                 raise boom
-            return work(chunk)
+            return work(chunk, slot)
 
         chunkwise(chunks, work3, take)
 
@@ -351,7 +360,8 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
     want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
     # report sums over the 8 blocks of that gram, each thread filling its own scratch block
     weight = np.abs(np.linspace(-1.0, 1.0, f.grid.size))
-    cell = stnslct_gram(f, wspec, m).cell
+    kept = stnslct_gram(f, wspec, m)
+    cell, wgrid = kept.cell, kept.wgrid
     want_sum = float(cell * np.sum(np.abs(want_gram) ** 3.0 * weight))
     want_pairing = complex(np.sum(want_gram * np.conj(want_gram)) * cell)
     monkeypatch.setattr(grids, "_WORKERS", 8)
@@ -366,7 +376,7 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             assert np.array(grids._power_sum(gram, 3.0, weight)).tobytes() == np.array(want_sum).tobytes()
             assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
             # the same sums from the gram's chunks as they are made, the gram never held
-            streamed = shorttime._gram_sums(f, wspec, m, [(3.0, weight), ("conj", None)])
+            streamed = shorttime._gram_sums(f, wspec, m, wgrid, [(3.0, weight), ("conj", None)])
             assert np.array(streamed).tobytes() == np.array([want_sum, want_pairing]).tobytes()
     finally:
         sys.setswitchinterval(interval)

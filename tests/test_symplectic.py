@@ -80,11 +80,21 @@ def test_preset_matrix_has_dimension_n():
         preset("fresnel", 1, b=np.array([[1.2, 0.2], [0.2, 0.9]]))
     with pytest.raises(DimensionError, match="n=2"):
         preset("separable", 2, a=(1.0, 1.0, 1.0), b=2.0, c=0.0, d=1.0)
+    with pytest.raises(DimensionError, match="square"):
+        validate(np.ones((1, 2)), 1.0, 0.0, 1.0)
+    with pytest.raises(DimensionError, match="one shape"):
+        validate(np.eye(2), 1.0, 0.0, 1.0)
+    with pytest.raises(DimensionError):
+        compose(preset("fourier", 1), preset("fourier", 2))
 
 
 def test_unknown_preset():
     with pytest.raises(BadParam):
         preset("laplace", 1)
+    with pytest.raises(BadParam, match="missing parameter 'alpha'"):
+        preset("frft", 1)
+    with pytest.raises(BadParam, match="non-finite"):
+        preset("fresnel", 1, b=np.inf)
 
 
 def test_validate_rejects_singular_b():

@@ -95,6 +95,8 @@ def test_direct_takes_scalar_and_empty_point_sets():
     f2 = synthesize("noise", grid2(16), seed=4)
     assert nslct_direct(f2, m2, np.empty((0, 2))).shape == (0,)
     assert nslct_direct(f2, m2, []).shape == (0,)
+    with pytest.raises(GridMismatch):  # points with three coordinates in 2-D
+        nslct_direct(f2, m2, [[0.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

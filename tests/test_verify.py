@@ -140,7 +140,7 @@ def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, mon
         assert sum(w is not None for p, w in needs if p == 2.0) == 3
         other = stnslct_gram(nslct.verify._odd_partner(f), wspec, m)
         needs.append(("conj", other.values.reshape(-1)))
-        streamed = shorttime._gram_sums(f, wspec, m, needs)
+        streamed = shorttime._gram_sums(f, wspec, m, gram.wgrid, needs)
         assert _bytes(streamed) == _bytes(grids._table_sums(gram, needs))
         mags = np.abs(gram.values)
         for (p, w), got in zip(needs, streamed):
