@@ -169,15 +169,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (nio.ParseError, UsageError, OSError) as exc:
+    except (NSLCTError, nio.ParseError, UsageError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except NSLCTError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, _NUMERIC_ERRORS) else 3 if isinstance(exc, NSLCTError) else 2
 
 
 if __name__ == "__main__":

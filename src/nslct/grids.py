@@ -11,17 +11,18 @@ once, builds each requested term, sums it, and adds the chunk sums in a
 balanced pairwise tree.  Every value table has 2^k cells, and np.sum of a
 contiguous 2^k array splits at exact halves, so the tree gives the bytes of
 one np.sum over the whole table without ever holding that table of terms.
-A kept table is read in _CHUNK_POINTS-cell blocks; the short-time gram's
-sums can also be taken from its chunks as they are made, so that the gram
-itself is never held (shorttime).  Chunks run on one thread per CPU the
-process may use (_chunkwise): the calling thread hands out chunk numbers on
-a queue, a thread count + 1 ahead of the chunk it takes next, each thread
-works its chunks in its own slot (the sum pass keeps one scratch set per
-slot), and the first exception a thread reports is raised on the calling
-thread.
+Every chunked table, kept or made chunk by chunk, is cut by one rule
+(_chunks); the short-time gram's sums can also be taken from its chunks as
+they are made, so that the gram itself is never held (shorttime).  Chunks
+run on one thread per CPU the process may use (_chunkwise): the calling
+thread hands out chunk numbers on a queue, a thread count + 1 ahead of the
+chunk it takes next, each thread works its chunks in its own slot (the sum
+pass keeps one scratch set per slot), and the first exception a thread
+reports is raised on the calling thread.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -297,15 +298,11 @@ def frequency_grid(grid: Grid) -> Grid:
 # ---------------------------------------------------------------------------
 # threads and the sum pass
 
-# Cells per block (512 KB of complex128): the short-time gram and its
-# overlap-add send this many points of shift rows through one FFT call,
-# nslct_direct builds its per-axis factors for this many entries at a time,
-# and the sum pass (_sums) reads a kept table this many cells at a time.
-# Gram, overlap-add and sum chunks are also the unit of work of their
-# threads: one thread per CPU the process may use, capped by the block
-# count, none left after the call, and the bytes do not depend on the count
-# (_chunkwise).  On 2 shared CPUs, single-threaded gram chunks of 2^13,
-# 2^15, 2^16 and 2^17 points timed within noise of each other on a
+# Cells per chunk (512 KB of complex128), read only by _chunks, the one cut
+# of every chunked table: gram and overlap-add shift rows, nslct_direct's
+# points and the sum pass's kept tables.  A chunk is also the unit of work
+# of _chunkwise's threads.  On 2 shared CPUs, single-threaded gram chunks of
+# 2^13, 2^15, 2^16 and 2^17 points timed within noise of each other on a
 # 2048-point and a 64^2 gram; 2^14 was 1.5x slower on the 2048-point gram,
 # and one call over the whole stack of rows 1.2-1.5x slower on both (see
 # ROADMAP, "Do not retry", item 4).
@@ -313,6 +310,23 @@ _CHUNK_POINTS = 2**15
 
 # The CPUs this process may run on, the most threads a call uses.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _chunks(lead: tuple[int, ...], row: int) -> list[tuple]:
+    """Index tuples that cut a table's leading axes lead, whose entries hold
+    row cells each, into runs of max(1, _CHUNK_POINTS // row) entries in
+    row-major order: (*i, slice(j, j + run)), i indexing the first axes.
+    With power-of-two counts every chunk is an equal contiguous run; only a
+    single ragged axis (nslct_direct's points) can end in a shorter one.
+    """
+    step = max(1, _CHUNK_POINTS // row)
+    k, inner = len(lead) - 1, 1  # the axis cut into runs, and the entries under one of its indices
+    while k > 0 and inner * lead[k] <= step:
+        inner *= lead[k]
+        k -= 1
+    run = step // inner
+    return [(*i, slice(j, j + run)) for i in itertools.product(*map(range, lead[:k]))
+            for j in range(0, lead[k], run)]
 
 
 def _chunkwise(chunks: list, work, take) -> None:
@@ -395,12 +409,8 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
     """
     keys = list({(p, id(w)): (p, w) for p, w in needs}.values())
     step = math.prod(shape) // len(chunks)
-
-    def tiled(weight):  # one chunk's weight: the grid's, repeated, or all of it
-        grid = np.broadcast_to(weight, shape[len(shape) - np.ndim(weight):]).reshape(-1)
-        return np.tile(grid, max(1, step // grid.size))
-
-    args = [w if w is None or p == "conj" else tiled(w) for p, w in keys]
+    args = [w if w is None or p == "conj" else np.broadcast_to(w, shape[len(shape) - np.ndim(w):]).reshape(-1)
+            for p, w in keys]
     powers = [p for p, _ in keys if p != "conj"]
     scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
                for _ in range(min(_WORKERS, len(chunks)))]
@@ -422,9 +432,10 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
                 out.append(np.max(mags))
             else:
                 t = mags if p == 1.0 else squares if p == 2.0 else np.power(mags, p, out=terms)
-                if w is not None:
-                    j = k * step % w.size
-                    t = np.multiply(t, w[j:j + step], out=terms)
+                if w is not None:  # the chunk's run of the weight, over each of its grid rows
+                    run = w[k * step % w.size:][:step]
+                    np.multiply(t.reshape(-1, run.size), run, out=terms.reshape(-1, run.size))
+                    t = terms
                 out.append(np.sum(t))
         return out
 
@@ -447,11 +458,9 @@ def _tree(sums: list):
 
 
 def _table_sums(obj, needs) -> list:
-    """_sums over the kept values of a signal, spectrum or gram, _CHUNK_POINTS cells at a time."""
-    flat = obj.values.reshape(-1)
-    step = min(flat.size, _CHUNK_POINTS)
-    blocks = [slice(k, k + step) for k in range(0, flat.size, step)]
-    return _sums(needs, obj.cell, obj.values.shape, blocks, lambda block, out: flat[block])
+    """_sums over the kept values of a signal, spectrum or gram, read in the contiguous slabs of _chunks."""
+    values = obj.values
+    return _sums(needs, obj.cell, values.shape, _chunks(values.shape, 1), lambda chunk, out: values[chunk])
 
 
 # ---------------------------------------------------------------------------

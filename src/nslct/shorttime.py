@@ -5,23 +5,16 @@ grid, the transform of f(x) * conj(phi(x - u)).  Window shifts are whole
 sample steps that wrap around the grid.  Every shifted window is read from
 one read-only strided view of the window tiled three times per axis (see
 _shifted_windows), so no shift copies the window.  Shift rows go through
-the FFT in chunks of about _CHUNK_POINTS points, one FFT call per chunk,
-under the one fast-transform plan of the matrix and grid, the same plan the
-plain forward and inverse transforms use (transform._plan).  The same chunk
-fill either builds the gram (stnslct_gram) or feeds each chunk, as it is
-made, to one pass that takes sums over the gram without holding it
-(_gram_sums, which `verify` uses).
+the FFT in the chunks of grids._chunks, one FFT call per chunk, under the
+one fast-transform plan of the matrix and grid, the same plan the plain
+forward and inverse transforms use (transform._plan).  The same chunk fill
+either builds the gram (stnslct_gram) or feeds each chunk, as it is made,
+to one pass that takes sums over the gram without holding it (_gram_sums,
+which `verify` uses).
 
-Chunks run on as many threads as the CPUs the process may use, capped by
-the chunk count, each thread held to its own CPU; with one CPU or one chunk
-they run in a plain loop on the calling thread (grids._chunkwise).  The
-calling thread hands out chunk numbers on a queue, a thread count + 1 ahead
-of the chunk it takes next, takes the results in chunk order and raises the
-first exception a thread reports; each thread works in its own slot, which
-the gram fill and the overlap-add ignore.  No thread outlives the call that
-started it, and the bytes do not depend on the thread count: each chunk's
-arithmetic is fixed, and the overlap-add sums its rows in shift order on
-the calling thread.
+Chunks run on the threads of grids._chunkwise, and the bytes do not depend
+on the thread count: each chunk's arithmetic is fixed, and the overlap-add
+sums its rows in shift order on the calling thread.
 """
 from __future__ import annotations
 
@@ -33,8 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    _CHUNK_POINTS, Grid, Gram, SampledSignal, _chunkwise, _sums, _table_sums, check_gram, gram_cell,
-    inner, shift_lattice,
+    Grid, Gram, SampledSignal, _chunks, _chunkwise, _sums, _table_sums, check_gram, gram_cell, inner,
+    shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
 from .transform import _plan
@@ -70,10 +63,8 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list
     ucounts + counts, the shift lattice's counts first: a sliding window
     over the table tiled three times per axis, stepped by -stride from
     (-origin / spacing) mod N + N on each axis, so no shift copies the
-    table.  The chunks are index tuples into the ucounts axes of such an
-    array: consecutive shifts in row-major order, about _CHUNK_POINTS points
-    each.  Counts and strides are powers of two, so in 2-D a chunk is whole
-    rows of the shift lattice or part of one row.
+    table.  The chunks are grids._chunks of the ucounts axes, each shift
+    holding one grid of points.
 
     The window must sit on the signal's grid and the grid origin must be
     sample-aligned; both are checked here, on the call, before any row is
@@ -91,17 +82,13 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list
     if any(abs(r - round(r)) > 1e-9 for r in offs):
         raise GridMismatch("grid origin is not sample-aligned; cannot shift the window")
     s = wspec.stride
-    *rows, last = shift_lattice(grid, s).counts
+    ucounts = shift_lattice(grid, s).counts
     # np.roll by s * i + o reads sample k from k - s * i - o, mod N: window
     # start (-o) % N + N - s * i of the tripled table, which stays in [s, 2N)
     starts = [(-round(r)) % N for r, N in zip(offs, grid.counts)]
     steps = tuple(slice(a + N, a, -s) for a, N in zip(starts, grid.counts))
     views = [sliding_window_view(np.tile(t, (3,) * grid.n), grid.counts)[steps] for t in tables]
-    step = max(1, _CHUNK_POINTS // grid.size)
-    if rows and step > last:  # whole rows of the shift lattice
-        k = step // last
-        return views + [[(slice(r, r + k),) for r in range(0, rows[0], k)]]
-    return views + [[(*r, slice(k, k + step)) for r in np.ndindex(*rows) for k in range(0, last, step)]]
+    return views + [_chunks(ucounts, grid.size)]
 
 
 def _gram_source(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BadParam, GridMismatch
 from .grids import (
-    _CHUNK_POINTS, Grid, SampledSignal, Spectrum, _warp_meshes, check_dimension, frequency_grid,
+    Grid, SampledSignal, Spectrum, _chunks, _warp_meshes, check_dimension, frequency_grid,
 )
 from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 
@@ -112,10 +112,10 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     The phase splits into the input chirp x^T B^-1 A x / 2, taken once on
     the grid into G = f * exp(i x^T B^-1 A x / 2); the output chirp
     w^T D B^-1 w / 2 per point; and the cross term -omega . x, omega = B^-1 w,
-    which factors per axis on the uniform grid.  Points go in chunks of
-    about _CHUNK_POINTS factor entries: per chunk E_j = exp(-i omega_j x_j)
-    over axis j (_axis_factor), and the sum is E_0 @ G in 1-D and the row
-    sums of (E_0 @ G) * E_1 in 2-D.
+    which factors per axis on the uniform grid.  Points go in the chunks of
+    grids._chunks, each point holding a factor row of the longest axis: per
+    chunk E_j = exp(-i omega_j x_j) over axis j (_axis_factor), and the sum
+    is E_0 @ G in 1-D and the row sums of (E_0 @ G) * E_1 in 2-D.
 
     This is the oracle the fast path is checked against; it is
     O(#w * #grid), makes no use of the FFT and reads no plan, though its
@@ -127,14 +127,13 @@ def nslct_direct(f: SampledSignal, m: FreeSymplecticMatrix, wpoints) -> np.ndarr
     g = f.values * _chirp(grid.mesh(), m.b_inva)
     omega = pts @ m.b_invt
     out = _amplitude(m, grid.vol) * _chirp(pts.T, m.db_inv)
-    step = max(1, _CHUNK_POINTS // max(grid.counts))
-    for k in range(0, pts.shape[0], step):
-        om = omega[k:k + step]
+    for chunk in _chunks(pts.shape[:1], max(grid.counts)):
+        om = omega[chunk]
         acc = _axis_factor(om[:, 0], grid, 0) @ g
         if grid.n == 2:
             acc *= _axis_factor(om[:, 1], grid, 1)
             acc = acc.sum(axis=1)
-        out[k:k + step] *= acc
+        out[chunk] *= acc
     return out
 
 

@@ -282,6 +282,26 @@ def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype):
             assert grids._tree(sums).tobytes() == want, (j, block)
 
 
+# The one chunk rule: shift lattices under their grids' rows, kept tables
+# cell by cell, and nslct_direct's ragged point list.
+
+
+@pytest.mark.parametrize("lead, row", [
+    ((64,), 256), ((2048,), 2048), ((32, 32), 4096), ((32, 8), 1024), ((8, 8), 65536),
+    ((32, 32, 64, 64), 1), ((256, 256), 1), ((256,), 1), ((700,), 64),
+])
+def test_chunks_cut_a_table_in_row_major_order_into_equal_contiguous_runs(lead, row):
+    total = math.prod(lead)
+    cells = np.arange(total).reshape(lead)
+    parts = [cells[chunk] for chunk in grids._chunks(lead, row)]
+    assert np.array_equal(np.concatenate([part.ravel() for part in parts]), np.arange(total))
+    assert all(part.flags.c_contiguous for part in parts)
+    want = min(total, max(1, grids._CHUNK_POINTS // row))
+    last = total % want or want  # shorter only on a single ragged axis
+    assert len(lead) == 1 or last == want
+    assert [part.size for part in parts] == [want] * (len(parts) - 1) + [last]
+
+
 # The chunk runner's promises over 64 chunks at 2 and 3 threads; work takes
 # (chunk, *slot), so these also hold a runner that passes no slot number.
 

@@ -18,12 +18,16 @@ from nslct import (
     boundedness_margin,
     boundedness_report,
     inner,
+    lp_norm,
     moyal,
     norm_l2,
+    nslct_direct,
     nslct_fast,
     nslct_inverse,
+    output_lattice,
     preset,
     random_free_matrix,
+    run_suite,
     stnslct_gram,
     stnslct_reconstruct,
     synthesize,
@@ -212,7 +216,7 @@ def test_forward_inverse_gram_and_reconstruction_share_one_plan(monkeypatch):
     nslct_inverse(nslct_fast(f, m), m)
     stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m)
     # one call per chunk of shift rows, and 256 rows make more than one chunk
-    chunks = math.ceil(g.counts[0] / (shorttime._CHUNK_POINTS // g.size))
+    chunks = math.ceil(g.counts[0] / (grids._CHUNK_POINTS // g.size))
     assert chunks > 1
     assert len(used) == 2 + 2 * chunks
     assert all(plan is _plan(g, m) for plan in used)
@@ -280,6 +284,34 @@ def test_chunked_gram_and_reconstruction_keep_the_bytes_of_the_row_loop(
         for mode, want in (("pointwise", want_pointwise), ("constant", want_constant)):
             rec = stnslct_reconstruct(gram, wspec, m, denominator=mode)
             assert rec.values.tobytes() == want.tobytes(), (workers, mode)
+
+
+def _chunked_outputs():
+    """The gram chunk counts, and the bytes of every chunked pass: the gram,
+    both reconstructions, moyal and lp_norm of a 2048-point stride-1 and a
+    64^2 stride-2 gram, nslct_direct at 3000 lattice points on each grid,
+    and run_suite("all", 1)."""
+    counts, out = [], []
+    for g, stride in ((grid1(2048, 0.05), 1), (grid2(), 2)):
+        f = synthesize("noise", g, seed=3)
+        wspec = WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=stride)
+        m = random_free_matrix(np.random.default_rng(7), g.n)
+        counts.append(len(shorttime._gram_source(f, wspec, m)[1]))
+        gram = stnslct_gram(f, wspec, m)
+        out += [gram.values, moyal(gram, gram), lp_norm(gram, 3.0),
+                *(stnslct_reconstruct(gram, wspec, m, mode).values for mode in ("pointwise", "constant")),
+                nslct_direct(f, m, output_lattice(g, m).flat_points()[:3000])]
+    return counts, [np.asarray(x).tobytes() for x in out] + [repr(run_suite("all", 1))]
+
+
+def test_one_constant_drives_every_chunked_pass(monkeypatch):
+    counts, want = _chunked_outputs()
+    assert counts == [128, 128]
+    # not below 2^14: see moyal's docstring
+    monkeypatch.setattr(grids, "_CHUNK_POINTS", 2**14)
+    counts, got = _chunked_outputs()
+    assert counts == [256, 256]
+    assert got == want
 
 
 def _eight_chunk_case():

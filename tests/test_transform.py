@@ -30,7 +30,7 @@ from nslct import (
     synthesize,
     validate,
 )
-from nslct import transform
+from nslct import grids, transform
 from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err
@@ -74,7 +74,7 @@ def test_direct_matches_reference_off_the_lattice_in_partial_chunks(n, counts, p
     rng = np.random.default_rng(40 + n)
     m = random_free_matrix(rng, n)
     g = grid2(counts) if n == 2 else grid1(counts, 0.05)
-    assert points % max(1, transform._CHUNK_POINTS // counts) != 0
+    assert points % max(1, grids._CHUNK_POINTS // counts) != 0
     if n == 2:
         assert m.b[0, 1] != 0.0 and m.b_inva[0, 1] != 0.0  # not separable
     f = synthesize("noise", g, seed=9)
