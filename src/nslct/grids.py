@@ -7,7 +7,8 @@ which keeps every figure in the test battery bit-reproducible.
 
 Every sum is numpy's pairwise np.sum, taken in one pass over a table's
 chunks (_sums): the pass fills or reads a chunk, takes |V| and |V|^2 of it
-once, builds each requested term, sums it, and adds the chunk sums in a
+once, builds each requested term from them (|V|^3 and |V|^4 are the
+products |V|^2 |V| and |V|^2 |V|^2), sums it, and adds the chunk sums in a
 balanced pairwise tree.  Every value table has 2^k cells, and np.sum of a
 contiguous 2^k array splits at exact halves, so the tree gives the bytes of
 one np.sum over the whole table without ever holding that table of terms.
@@ -397,21 +398,25 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
     A need is (p, weight) for cell * sum |V|^p * weight, weight None or
     spanning the trailing (grid) axes of V; (inf, None) for max |V|; or
     ("conj", b) for sum V * conj(b) * cell, b the flat cells of a table of
-    V's shape, or None for V itself.  Results come in the order of needs.
+    V's shape (a gram's energy is the need (2.0, None), not a pairing with
+    itself).  Results come in the order of needs.
 
     The chunks run on _chunkwise's threads, each thread slot working in its
     own set of scratch arrays from the calling thread, and take |V| and
-    |V|^2 once.  Each term is built in the ufuncs and operand order of its
-    expression over the whole table ((|V| ** p) * weight, V * np.conj(b)),
-    summed by one np.sum per chunk, and the chunk sums are added in a
-    pairwise tree (_tree), so each sum is, bit for bit, one np.sum over the
-    whole table of terms, without that table ever being held.
+    |V|^2 once.  Each term is built from them in the ufuncs and operand
+    order of its expression over the whole table: with sq = |V| ** 2, the
+    power is |V|, sq, sq * |V| or sq * sq at p = 1, 2, 3 or 4 and |V| ** p
+    at any other p, times weight if given; the pairing is V * np.conj(b).
+    Each is summed by one np.sum per chunk, and the chunk sums are added in
+    a pairwise tree (_tree), so each sum is, bit for bit, one np.sum over
+    the whole table of terms, without that table ever being held.
     """
     keys = list({(p, id(w)): (p, w) for p, w in needs}.values())
     step = math.prod(shape) // len(chunks)
     args = [w if w is None or p == "conj" else np.broadcast_to(w, shape[len(shape) - np.ndim(w):]).reshape(-1)
             for p, w in keys]
     powers = [p for p, _ in keys if p != "conj"]
+    squared = any(p in (2.0, 3.0, 4.0) for p in powers)
     scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
                for _ in range(min(_WORKERS, len(chunks)))]
 
@@ -421,17 +426,18 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
         values = fill(chunk, values).reshape(-1)
         if powers:
             np.abs(values, out=mags)
-        if 2.0 in powers:
+        if squared:
             np.square(mags, out=squares)
         out = []
         for (p, _), w in zip(keys, args):
             if p == "conj":  # this expression, for numpy's temporary elision (shorttime.moyal)
-                b = values if w is None else w[k * step:(k + 1) * step]
-                out.append(np.sum(values * np.conj(b)))
+                out.append(np.sum(values * np.conj(w[k * step:(k + 1) * step])))
             elif p == math.inf:
                 out.append(np.max(mags))
             else:
-                t = mags if p == 1.0 else squares if p == 2.0 else np.power(mags, p, out=terms)
+                t = (mags if p == 1.0 else squares if p == 2.0
+                     else np.multiply(squares, mags if p == 3.0 else squares, out=terms) if p in (3.0, 4.0)
+                     else np.power(mags, p, out=terms))
                 if w is not None:  # the chunk's run of the weight, over each of its grid rows
                     run = w[k * step % w.size:][:step]
                     np.multiply(t.reshape(-1, run.size), run, out=terms.reshape(-1, run.size))

@@ -7,7 +7,12 @@ one read-only strided view of the window tiled three times per axis (see
 _shifted_windows), so no shift copies the window.  Shift rows go through
 the FFT in the chunks of grids._chunks, one FFT call per chunk, under the
 one fast-transform plan of the matrix and grid, the same plan the plain
-forward and inverse transforms use (transform._plan).  The same chunk fill
+forward and inverse transforms use (transform._plan).  The gram is the
+short-time Fourier transform of the chirped signal,
+V(u, w) = post(w) STFT_phi(f chirp)(u, B^-1 w): the input chirp is taken
+once per gram, so each row is the FFT of (f chirp) conj(phi(x - u)) times
+the output factor, and the overlap-add takes the conjugate chirp once, on
+its sum.  The same chunk fill
 either builds the gram (stnslct_gram) or feeds each chunk, as it is made,
 to one pass that takes sums over the gram without holding it (_gram_sums,
 which `verify` uses).
@@ -97,15 +102,17 @@ def _gram_source(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):
     fill(chunk, out) writes the transforms of the chunk's shift rows into
     out, which holds the chunk's cells, and returns them; stnslct_gram fills
     its table with it, and _gram_sums takes sums from each chunk it fills.
+    Each row is the chirped signal times its conjugate shifted window, put
+    through the plan's FFT and output factor (forward_chirped).
     """
     windows, chunks = _shifted_windows(f.grid, wspec, np.conj(wspec.window.values))
     plan = _plan(f.grid, m)
+    chirped = f.values * plan.chirp
 
     def fill(chunk, out):
-        part = np.multiply(f.values, windows[chunk], out=out.reshape(windows[chunk].shape))
-        rows = part.reshape(-1, *f.grid.counts)
-        plan.forward_values(rows, out=rows)
-        return part
+        rows = (chirped * windows[chunk]).reshape(-1, *f.grid.counts)
+        plan.forward_chirped(rows, out=out.reshape(rows.shape))
+        return out.reshape(windows[chunk].shape)
 
     return windows.shape, chunks, fill
 
@@ -135,12 +142,13 @@ def stnslct_reconstruct(
 ) -> SampledSignal:
     """Overlap-add synthesis back to the signal grid.
 
-    Each row is inverted exactly, multiplied by its shifted window, and the
-    shift sum is divided by the window partition sum_u |phi(x - u)|^2 * ucell
-    evaluated pointwise ("pointwise", the default, which makes the discrete
-    round trip exact in principle) or by the constant window energy
-    ("constant", the continuum normalization).  Coverage gaps raise
-    CoverageError either way.
+    Each row is inverted exactly up to the input chirp (inverse_chirped) and
+    multiplied by its shifted window; the shift sum is multiplied by the
+    conjugate chirp once and divided by the window partition
+    sum_u |phi(x - u)|^2 * ucell evaluated pointwise ("pointwise", the
+    default, which makes the discrete round trip exact in principle) or by
+    the constant window energy ("constant", the continuum normalization).
+    Coverage gaps raise CoverageError either way.
     """
     if denominator not in ("pointwise", "constant"):
         raise BadParam(f"unknown denominator mode {denominator!r}")
@@ -153,7 +161,7 @@ def stnslct_reconstruct(
     partition = np.zeros(grid.counts)
 
     def weighted(chunk, slot):
-        part = plan.inverse_values(g.values[chunk].reshape(-1, *grid.counts))
+        part = plan.inverse_chirped(g.values[chunk].reshape(-1, *grid.counts))
         part = part.reshape(windows[chunk].shape)
         return np.multiply(part, windows[chunk], out=part)
 
@@ -165,6 +173,7 @@ def stnslct_reconstruct(
             partition += sq[i]
 
     _chunkwise(chunks, weighted, add)
+    acc *= np.conj(plan.chirp)
     acc *= g.ugrid.vol
     partition *= g.ugrid.vol
     if float(np.min(partition)) < 1e-9:

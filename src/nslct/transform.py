@@ -206,30 +206,39 @@ class _FastPlan:
         self.quadrants, self.fft, self.ifft = axes.quadrants, axes.fft, axes.ifft
 
     def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transform one grid of values, or a stack of them, over the last n axes.
+        """Transform one grid of values, or a stack of them, over the last n
+        axes: the input chirp, then forward_chirped (out may be values itself)."""
+        return self.forward_chirped(values * self.chirp, out)
+
+    def forward_chirped(self, chirped: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Transform values already multiplied by the input chirp: the FFT,
+        taken in place over chirped, and the output factor.
 
         The fftshift is folded into the output factor: each of the 2^n
         quadrants of the FFT is multiplied by post straight into its shifted
-        place, in out if given (out may be values itself).
+        place, in out if given (out must not be chirped).
         """
-        spec = values * self.chirp
-        self.fft(spec, out=spec)
+        self.fft(chirped, out=chirped)
         if out is None:
-            out = np.empty_like(spec)
+            out = np.empty_like(chirped)
         for src, dst in self.quadrants:
-            np.multiply(spec[src], self.post[dst], out=out[dst])
+            np.multiply(chirped[src], self.post[dst], out=out[dst])
         return out
 
     def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        """Undo forward_values over the last n axes of one grid or a stack.
+        """Undo forward_values over the last n axes of one grid or a stack:
+        inverse_chirped, then the conjugate input chirp."""
+        out = self.inverse_chirped(values)
+        out *= np.conj(self.chirp)
+        return out
 
-        The ifftshift is folded into the division by post the same way.
-        """
+    def inverse_chirped(self, values: np.ndarray) -> np.ndarray:
+        """Undo forward_chirped: the division by post, with the ifftshift
+        folded into it the same way, and the inverse FFT, into a new array."""
         out = np.empty(values.shape, dtype=np.complex128)
         for src, dst in self.quadrants:
             np.divide(values[dst], self.post[dst], out=out[src])
         self.ifft(out, out=out)
-        out *= np.conj(self.chirp)
         return out
 
 

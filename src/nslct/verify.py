@@ -177,9 +177,10 @@ def _suite_parseval(seed: int) -> list[Record]:
 
 def _moyal_energy(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, wgrid):
     """Moyal's formula on the diagonal: <gram, gram> = ||f||^2 ||phi||^2, as a
-    report build (uncertainty._on_gram)."""
+    report build (uncertainty._on_gram).  The pairing of a gram with itself
+    is its energy, the sum of |V|^2 that other reports need too."""
     rhs = norm_l2(f) ** 2 * wspec.norm2
-    return [("conj", None)], lambda pairing: _identity_report("moyal-energy", pairing.real, rhs)
+    return [(2.0, None)], lambda energy: _identity_report("moyal-energy", energy, rhs)
 
 
 def _moyal_pairs(seed: int) -> list[Record]:

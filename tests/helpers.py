@@ -127,3 +127,72 @@ def gaussian(p_mat, q_vec, scale: complex, blocks, wpoints) -> np.ndarray:
     expo = 0.5 * np.einsum("pi,ij,pj->p", v, qinv, v)
     qw = 0.5 * np.einsum("pi,ij,pj->p", w, dbi, w)
     return amp * scale * TWO_PI ** (n / 2.0) / sqrt_det * np.exp(expo + 1j * qw)
+
+
+# Golden verify reports (tests/data): the `nslct verify --suite all --seed k
+# --out` report of each seed, and the host whose numpy wrote them.
+
+def host_fingerprint() -> dict:
+    """What a report's last bits may depend on besides the code: the numpy
+    version and the CPU SIMD features its dispatch enables (SIMD exp, hypot
+    and power may round differently on another CPU)."""
+    import platform
+
+    from numpy._core import _multiarray_umath
+
+    features = getattr(_multiarray_umath, "__cpu_features__", None)
+    return {"machine": platform.machine(), "numpy": np.__version__,
+            "cpu_features": None if features is None else sorted(k for k, on in features.items() if on)}
+
+
+def read_report(text: str):
+    """A verify report's records, {(suite, name, params): (numbers, passed)}
+    in file order with numbers (lhs, rhs, constant, margin, tol), and its
+    floors, {suite: min_relative_margin} in file order."""
+    records, floors = {}, {}
+    for line in text.splitlines()[1:]:
+        if line.startswith("# floor "):
+            suite, value = (field.split("=", 1)[1] for field in line.split()[2:])
+            floors[suite] = float(value)
+        else:
+            suite, name, params, *numbers, passed = line.split(",")
+            assert (suite, name, params) not in records, line
+            records[suite, name, params] = (tuple(map(float, numbers)), passed == "1")
+    return records, floors
+
+
+def report_diff(old: str, new: str) -> dict:
+    """What moved from one verify report (text) to another.
+
+    added / removed: the record labels (suite, name, params) only one side
+    has; flips: the labels on both whose verdict differs; moved: per family
+    (the record's suite, or "floor" for the floor lines), the count of
+    numbers that differ and the largest move, |new - old| over
+    margin_scale(lhs, rhs) of the old record.  A floor is a relative margin
+    already, so its move is taken as is.
+    """
+    from nslct.uncertainty import margin_scale
+
+    (old_recs, old_floors), (new_recs, new_floors) = read_report(old), read_report(new)
+    moved: dict[str, tuple[int, float]] = {}
+
+    def note(family, a, b, scale):
+        if a != b:
+            count, top = moved.get(family, (0, 0.0))
+            moved[family] = (count + 1, max(top, abs(b - a) / scale))
+
+    flips = []
+    for key, (numbers, passed) in old_recs.items():
+        if key in new_recs:
+            new_numbers, new_passed = new_recs[key]
+            if passed != new_passed:
+                flips.append(key)
+            scale = margin_scale(numbers[0], numbers[1])
+            for a, b in zip(numbers, new_numbers):
+                note(key[0], a, b, scale)
+    for suite, value in old_floors.items():
+        if suite in new_floors:
+            note("floor", value, new_floors[suite], 1.0)
+    return {"added": [k for k in new_recs if k not in old_recs],
+            "removed": [k for k in old_recs if k not in new_recs],
+            "flips": flips, "moved": moved}

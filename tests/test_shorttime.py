@@ -33,6 +33,7 @@ from nslct import (
     synthesize,
 )
 from nslct import grids, shorttime
+from nslct.symplectic import frft
 from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_stft
@@ -44,6 +45,13 @@ def matched_setup(stride=4, sigma=1.0):
     g = grid1()
     f = gaussian_1d(g, sigma=sigma)
     return g, f, WindowSpec(gaussian_1d(g, sigma=sigma), stride=stride)
+
+
+def _rolled_window(wspec, idx):
+    """phi(x - u) for the shift u of shift-lattice index idx, as an np.roll copy."""
+    g, s = wspec.window.grid, wspec.stride
+    lead = [round(o / d) for o, d in zip(g.origin, g.spacing)]
+    return np.roll(wspec.window.values, tuple(s * i + o for i, o in zip(idx, lead)), axis=tuple(range(g.n)))
 
 
 def test_window_spec_validation():
@@ -98,6 +106,26 @@ def test_gram_against_reference_stft():
         gram = stnslct_gram(f, WindowSpec(window, stride=stride), preset("fourier", 1))
         want = reference_stft(f, window, stride)
         assert np.max(np.abs(gram.values - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_rows_are_direct_transforms_of_the_windowed_signal(n):
+    """The time-frequency relation, checked without the plan: row u of the
+    gram is the transform of f * conj(phi(. - u)), here by direct quadrature
+    (nslct_direct) on the gram's output lattice, to 1e-12 of the gram's peak."""
+    if n == 1:
+        g, m, stride = grid1(), frft(0.7), 4
+    else:
+        g, m, stride = grid2(), random_free_matrix(np.random.default_rng(7), 2), 2
+    f = synthesize("noise", g, seed=11)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.2), stride=stride)
+    gram = stnslct_gram(f, wspec, m)
+    lattice = gram.wgrid.flat_points()
+    peak = np.max(np.abs(gram.values))
+    shifts = list(np.ndindex(gram.ugrid.counts))
+    for idx in shifts if n == 1 else shifts[::101]:
+        want = nslct_direct(SampledSignal(g, f.values * np.conj(_rolled_window(wspec, idx))), m, lattice)
+        assert np.max(np.abs(gram.values[idx].ravel() - want)) <= 1e-12 * peak, idx
 
 
 def test_unit_window_collapses_to_plain_transform():
@@ -206,7 +234,7 @@ def test_stored_plan_gives_gram_and_reconstruction_the_bytes_of_a_fresh_one(n, m
 
 def test_forward_inverse_gram_and_reconstruction_share_one_plan(monkeypatch):
     used = []
-    for name in ("forward_values", "inverse_values"):
+    for name in ("forward_chirped", "inverse_chirped"):
         run = getattr(_FastPlan, name)
         monkeypatch.setattr(
             _FastPlan, name, lambda self, *a, run=run, **k: used.append(self) or run(self, *a, **k)
@@ -224,25 +252,22 @@ def test_forward_inverse_gram_and_reconstruction_share_one_plan(monkeypatch):
 
 def _row_loop_gram_and_reconstructions(f, wspec, m):
     """The gram and both reconstructions row by row, each shifted window an
-    np.roll copy and each row its own FFT with the fftshift applied apart."""
+    np.roll copy and each row its own FFT with the fftshift applied apart.
+    Each row is the FFT of the once-chirped signal f * chirp times its
+    conjugate shifted window, and the overlap-add sum takes the conjugate
+    chirp once, before the shift lattice's cell."""
     g, s = f.grid, wspec.stride
     plan = _FastPlan(g, m)
-    axes = tuple(range(g.n))
-    lead = [round(o / d) for o, d in zip(g.origin, g.spacing)]
     ucounts = tuple(N // s for N in g.counts)
-    windows = [
-        np.roll(wspec.window.values, tuple(s * i + o for i, o in zip(idx, lead)), axis=axes)
-        for idx in np.ndindex(ucounts)
-    ]
-    rows = [
-        np.fft.fftshift(np.fft.fftn(f.values * np.conj(w) * plan.chirp)) * plan.post
-        for w in windows
-    ]
+    windows = [_rolled_window(wspec, idx) for idx in np.ndindex(ucounts)]
+    chirped = f.values * plan.chirp
+    rows = [np.fft.fftshift(np.fft.fftn(chirped * np.conj(w))) * plan.post for w in windows]
     acc = np.zeros(g.counts, dtype=complex)
     partition = np.zeros(g.counts)
     for row, w in zip(rows, windows):
-        acc += np.fft.ifftn(np.fft.ifftshift(row / plan.post)) * np.conj(plan.chirp) * w
+        acc += np.fft.ifftn(np.fft.ifftshift(row / plan.post)) * w
         partition += np.abs(w) ** 2
+    acc *= np.conj(plan.chirp)
     ucell = float(np.prod([s * d for d in g.spacing]))  # the shift lattice's cell
     acc *= ucell
     partition *= ucell
@@ -323,7 +348,10 @@ def _eight_chunk_case():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", ["forward_values", "inverse_values"])
+# the gram's rows go through forward_chirped, the part of forward_values after
+# the input chirp, and the overlap-add's through inverse_chirped
+@pytest.mark.parametrize("name", [pytest.param("forward_chirped", id="forward_values"),
+                                  pytest.param("inverse_chirped", id="inverse_values")])
 def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers, monkeypatch):
     f, wspec, m = _eight_chunk_case()
     want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
@@ -341,7 +369,7 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
     monkeypatch.setattr(_FastPlan, name, third_fails)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as err:
-        if name == "forward_values":
+        if name == "forward_chirped":
             stnslct_gram(f, wspec, m)
         else:
             stnslct_reconstruct(gram, wspec, m)
@@ -394,7 +422,8 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
     weight = np.abs(np.linspace(-1.0, 1.0, f.grid.size))
     kept = stnslct_gram(f, wspec, m)
     cell, wgrid = kept.cell, kept.wgrid
-    want_sum = float(cell * np.sum(np.abs(want_gram) ** 3.0 * weight))
+    mags = np.abs(want_gram)
+    want_sum = float(cell * np.sum(mags**2 * mags * weight))
     want_pairing = complex(np.sum(want_gram * np.conj(want_gram)) * cell)
     monkeypatch.setattr(grids, "_WORKERS", 8)
     threads = threading.active_count()
@@ -408,7 +437,8 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             assert np.array(grids._power_sum(gram, 3.0, weight)).tobytes() == np.array(want_sum).tobytes()
             assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
             # the same sums from the gram's chunks as they are made, the gram never held
-            streamed = shorttime._gram_sums(f, wspec, m, wgrid, [(3.0, weight), ("conj", None)])
+            needs = [(3.0, weight), ("conj", want_gram.reshape(-1))]
+            streamed = shorttime._gram_sums(f, wspec, m, wgrid, needs)
             assert np.array(streamed).tobytes() == np.array([want_sum, want_pairing]).tobytes()
     finally:
         sys.setswitchinterval(interval)

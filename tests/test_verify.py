@@ -1,3 +1,5 @@
+import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,8 +11,13 @@ from nslct import (
     SUITE_NAMES, BadParam, Grid, WindowSpec, grids, preset, random_free_matrix, run_suite, shorttime,
     stnslct_gram, synthesize,
 )
+from nslct import io as nio
 from nslct.uncertainty import TOL_INEQUALITY
 from nslct.verify import TOL_CROSS, TOL_EQUALITY, TOL_MOYAL, TOL_PARSEVAL
+
+from helpers import host_fingerprint, read_report, report_diff
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 CYCLE = ("fourier", "frft", "fresnel", "separable", "random", "random")
 COMBOS = [f"combo=n1-{i:02d}-{CYCLE[i % 6]};n=1" for i in range(20)] + [
@@ -88,6 +95,24 @@ def test_negative_seeds_are_refused_before_any_work(monkeypatch):
             synthesize("noise", Grid.centered(16, 0.5), seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_run_suite_matches_its_golden_report(seed, tmp_path):
+    """The report of `nslct verify --suite all --seed k --out` against
+    tests/data/verify_seed<k>.csv: labels, order and verdicts exactly,
+    numbers within 1e-12 of margin_scale, and bytes exactly on a host with
+    the numpy version and SIMD features recorded in verify_host.json."""
+    golden = (DATA / f"verify_seed{seed}.csv").read_text()
+    nio.write_report(str(tmp_path / "report.csv"), *run_suite("all", seed))
+    report = (tmp_path / "report.csv").read_text()
+    (want, want_floors), (got, got_floors) = read_report(golden), read_report(report)
+    assert [(k, ok) for k, (_, ok) in got.items()] == [(k, ok) for k, (_, ok) in want.items()]
+    assert list(got_floors) == list(want_floors)
+    moved = report_diff(golden, report)["moved"]
+    assert all(top <= 1e-12 for _, top in moved.values()), moved
+    if host_fingerprint() == json.loads((DATA / "verify_host.json").read_text()):
+        assert report == golden, moved
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_all_equals_each_suite_run_alone(seed):
     records, floors = run_suite("all", seed)
@@ -129,31 +154,57 @@ def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, mon
     """Every sum that every family row needs, and a Moyal cross pairing, taken
     in one pass from a gram's chunks as they are made and from the kept gram,
     against the formulas over the whole table: cell * np.sum(powers * weight),
-    np.max(|V|) and np.sum(g1.values * np.conj(g2.values)) * cell."""
+    the powers |V|, sq = |V|**2, sq * |V| and sq * sq; np.max(|V|); and
+    np.sum(g1.values * np.conj(g2.values)) * cell for the cross pairing."""
     monkeypatch.setattr(grids, "_WORKERS", workers)
     for f, wspec, m, chunks in _sum_cases():
         assert len(shorttime._gram_source(f, wspec, m)[1]) == chunks
         gram = stnslct_gram(f, wspec, m)
         needs = [need for rows in nslct.verify._FAMILIES.values() for build, kwargs, _, _ in rows
                  for need in build(f, wspec, m, gram.wgrid, **kwargs)[0]]
-        assert {p for p, _ in needs} == {"conj", np.inf, 2.0, 3.0, 4.0}
+        assert {p for p, _ in needs} == {np.inf, 2.0, 3.0, 4.0}
         assert sum(w is not None for p, w in needs if p == 2.0) == 3
         other = stnslct_gram(nslct.verify._odd_partner(f), wspec, m)
         needs.append(("conj", other.values.reshape(-1)))
         streamed = shorttime._gram_sums(f, wspec, m, gram.wgrid, needs)
         assert _bytes(streamed) == _bytes(grids._table_sums(gram, needs))
         mags = np.abs(gram.values)
+        sq = mags**2
         for (p, w), got in zip(needs, streamed):
             if p == "conj":
-                b = gram.values if w is None else w.reshape(gram.values.shape)
-                want = complex(np.sum(gram.values * np.conj(b)) * gram.cell)
+                want = complex(np.sum(gram.values * np.conj(w.reshape(gram.values.shape))) * gram.cell)
             elif p == np.inf:
                 want = float(np.max(mags))
             else:
-                powers = mags if p == 1.0 else mags**2 if p == 2.0 else mags**p
+                powers = {1.0: mags, 2.0: sq, 3.0: sq * mags, 4.0: sq * sq}[p]
                 want = float(gram.cell * np.sum(powers if w is None else powers * w))
             assert _bytes(got) == _bytes(want), (chunks, p)
-        del gram, other, mags
+        del gram, other, mags, sq
+
+
+def test_run_suite_sum_pass_calls_no_power(monkeypatch):
+    """|V|^3 and |V|^4 are products of |V|^2 and |V|, and the Moyal energy is
+    the sum of |V|^2, so the pass over the combo grams calls no np.power.
+    (The Hausdorff-Young right sides take ||f||_1.5 of the signal outside it.)"""
+    in_pass = []
+    power, gram_sums = np.power, nslct.verify._gram_sums
+
+    def no_power(*args, **kwargs):
+        if in_pass:
+            raise AssertionError("np.power in the sum pass")
+        return power(*args, **kwargs)
+
+    def watched(*args):
+        in_pass.append(True)
+        try:
+            return gram_sums(*args)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(np, "power", no_power)
+    monkeypatch.setattr(nslct.verify, "_gram_sums", watched)
+    records, _ = run_suite("all", 1)
+    assert len(records) == 289 and all(r.passed for r in records)
 
 
 def test_run_suite_builds_no_combo_gram(monkeypatch):
