@@ -17,12 +17,12 @@ import os
 import sys
 
 from . import io as nio
-from .errors import BadParam, CoverageError, GridMismatch, NSLCTError, ZeroSignal
+from .errors import BadParam, CoverageError, GridMismatch, NonFiniteOutput, NSLCTError, ZeroSignal
 from .grids import SampledSignal, Spectrum, norm_l2, output_lattice
 from .shorttime import WindowSpec, stnslct_gram, stnslct_reconstruct
 from .transform import nslct_direct, nslct_fast, nslct_inverse
 
-_NUMERIC_ERRORS = (CoverageError, ZeroSignal)
+_NUMERIC_ERRORS = (CoverageError, NonFiniteOutput, ZeroSignal)
 
 
 class UsageError(Exception):

@@ -38,6 +38,10 @@ class ZeroSignal(NSLCTError):
     """An operation requiring a nonzero signal received an all-zero one."""
 
 
+class NonFiniteOutput(NSLCTError):
+    """A result to be written holds NaN or infinity (an overflow, say)."""
+
+
 class BadAlpha(NSLCTError):
     """Weight exponent outside [0, n)."""
 

@@ -4,7 +4,9 @@ Text floats are serialized with Python's shortest round-trip repr (17
 significant digits when needed), and binary payloads are the raw bytes of
 the values, so write -> read -> write is byte identical.  Writers go
 through a temp file in the target directory and a rename, so readers never
-observe a half-written file.
+observe a half-written file.  Readers refuse non-finite numbers, so the
+writers of computed values refuse them too (NonFiniteOutput), before any
+file is made.
 
     matrix    text key=value pairs: n plus either preset=... with its
               parameters, or explicit row-major A=, B=, C=, D= arrays
@@ -26,7 +28,7 @@ import os
 
 import numpy as np
 
-from .errors import BadParam, NSLCTError
+from .errors import BadParam, NonFiniteOutput, NSLCTError
 from .grids import Grid, Gram, SampledSignal, Spectrum, check_gram, shift_lattice
 from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, check_n, preset, validate
 
@@ -64,6 +66,13 @@ def _atomic_write(path: str, *parts):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _finite(values: np.ndarray, kind: str) -> np.ndarray:
+    """values, unless they hold a NaN or an infinity, which the readers refuse."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteOutput(f"{kind} holds non-finite values; not written")
+    return values
 
 
 def _parse_pairs(text: str, line_no: int) -> dict[str, str]:
@@ -213,7 +222,7 @@ def _read_rows(lines, expected: int, columns: int, path_kind: str) -> np.ndarray
 
 def write_signal(path: str, sig: SampledSignal):
     rows = [f"kind=signal; {_grid_header(sig.grid)}"]
-    rows.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in sig.values.ravel())
+    rows.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in _finite(sig.values, "signal").ravel())
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -282,7 +291,7 @@ def _values(payload: bytes, shape: tuple[int, ...], kind: str) -> np.ndarray:
 
 def write_spectrum(path: str, spec: Spectrum):
     head = f"kind=spectrum; {_grid_header(spec.signal_grid)}"
-    _write_binary(path, head, spec.matrix, spec.values)
+    _write_binary(path, head, spec.matrix, _finite(spec.values, "spectrum"))
 
 
 def read_spectrum(path: str) -> Spectrum:
@@ -301,7 +310,7 @@ def write_gram(path: str, gram: Gram, signal_grid: Grid, stride: int,
         raise BadParam(f"window label {window_label!r} may not contain ';' or a line break")
     check_gram(gram, signal_grid, m, stride)
     head = f"kind=gram; {_grid_header(signal_grid)}; stride={stride}; window={window_label}"
-    _write_binary(path, head, gram.matrix, gram.values)
+    _write_binary(path, head, gram.matrix, _finite(gram.values, "gram"))
 
 
 def read_gram(path: str) -> tuple[Gram, str]:
@@ -329,7 +338,7 @@ def read_wpoints(path: str, n: int) -> np.ndarray:
 
 def write_points(path: str, points: np.ndarray, values: np.ndarray, n: int):
     rows = [f"kind=points; n={n}"]
-    for pt, v in zip(np.asarray(points).reshape(-1, n), values):
+    for pt, v in zip(np.asarray(points).reshape(-1, n), _finite(values, "point list")):
         rows.append(f"{_fmt_list(pt)},{_fmt(v.real)},{_fmt(v.imag)}")
     _atomic_write(path, "\n".join(rows) + "\n")
 

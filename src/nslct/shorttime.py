@@ -19,7 +19,8 @@ which `verify` uses).
 
 Chunks run on the threads of grids._chunkwise, and the bytes do not depend
 on the thread count: each chunk's arithmetic is fixed, and the overlap-add
-sums its rows in shift order on the calling thread.
+adds each chunk's rows on the calling thread in one reduce seeded with the
+running sum, which adds them one by one in shift order.
 """
 from __future__ import annotations
 
@@ -143,12 +144,17 @@ def stnslct_reconstruct(
     """Overlap-add synthesis back to the signal grid.
 
     Each row is inverted exactly up to the input chirp (inverse_chirped) and
-    multiplied by its shifted window; the shift sum is multiplied by the
-    conjugate chirp once and divided by the window partition
-    sum_u |phi(x - u)|^2 * ucell evaluated pointwise ("pointwise", the
-    default, which makes the discrete round trip exact in principle) or by
-    the constant window energy ("constant", the continuum normalization).
-    Coverage gaps raise CoverageError either way.
+    multiplied by its shifted window.  Each chunk's rows are added to the
+    running sum in one reduce over the chunk, seeded with that sum (rows[0]
+    += sum, then np.add.reduce along the rows into it), which adds the rows
+    one by one in shift order, so the bytes are a row loop's.  The shift sum
+    is multiplied by the conjugate chirp once and divided by the window
+    partition sum_u |phi(x - u)|^2 * ucell evaluated pointwise ("pointwise",
+    the default, which makes the discrete round trip exact in principle) or
+    by the constant window energy ("constant", the continuum normalization).
+    The partition does not depend on the gram: it is one reduce over the
+    shifted view of |phi|^2, taken before any row, so a coverage gap raises
+    CoverageError, either way, before any row is inverted.
     """
     if denominator not in ("pointwise", "constant"):
         raise BadParam(f"unknown denominator mode {denominator!r}")
@@ -156,28 +162,24 @@ def stnslct_reconstruct(
     check_gram(g, grid, m, wspec.stride)
     phi = wspec.window.values
     windows, squares, chunks = _shifted_windows(grid, wspec, phi, np.abs(phi) ** 2)
+    partition = np.add.reduce(squares, axis=tuple(range(grid.n)))
+    partition *= g.ugrid.vol
+    if float(np.min(partition)) < 1e-9:
+        raise CoverageError("window shifts leave the grid uncovered")
     plan = _plan(grid, m)
     acc = np.zeros(grid.counts, dtype=np.complex128)
-    partition = np.zeros(grid.counts)
 
     def weighted(chunk, slot):
-        part = plan.inverse_chirped(g.values[chunk].reshape(-1, *grid.counts))
-        part = part.reshape(windows[chunk].shape)
-        return np.multiply(part, windows[chunk], out=part)
+        rows = plan.inverse_chirped(g.values[chunk].reshape(-1, *grid.counts))
+        return np.multiply(rows, windows[chunk].reshape(rows.shape), out=rows)
 
-    def add(chunk, part):
-        nonlocal acc, partition
-        sq = squares[chunk]
-        for i in np.ndindex(part.shape[:-grid.n]):
-            acc += part[i]
-            partition += sq[i]
+    def add(chunk, rows):
+        rows[0] += acc
+        np.add.reduce(rows, axis=0, out=acc)
 
     _chunkwise(chunks, weighted, add)
     acc *= np.conj(plan.chirp)
     acc *= g.ugrid.vol
-    partition *= g.ugrid.vol
-    if float(np.min(partition)) < 1e-9:
-        raise CoverageError("window shifts leave the grid uncovered")
     den = partition if denominator == "pointwise" else wspec.norm2
     return SampledSignal(grid, acc / den)
 

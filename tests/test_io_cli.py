@@ -635,6 +635,29 @@ def test_coverage_failure_maps_to_numeric_exit(workdir):
     assert "CoverageError" in err
 
 
+@pytest.mark.parametrize("command", ["transform", "direct", "gram"])
+def test_non_finite_output_maps_to_numeric_exit_and_writes_nothing(tmp_path, command):
+    """A finite signal of 1e307 overflows every transform of it: the CLI
+    exits 4 and leaves no file, where it used to write one that its own
+    reader refuses."""
+    g = Grid.centered(64, 0.1)
+    nio.write_signal(tmp_path / "big.txt", SampledSignal(g, np.full(64, 1e307, dtype=complex)))
+    nio.write_signal(tmp_path / "w.txt", SampledSignal(g, np.ones(64, dtype=complex)))
+    (tmp_path / "m.txt").write_text("n=1; preset=frft; alpha=0.7\n")
+    (tmp_path / "pts.txt").write_text("0.0\n0.5\n")
+    extra = {
+        "transform": ("transform",),
+        "direct": ("transform", "--method", "direct", "--wpoints", tmp_path / "pts.txt"),
+        "gram": ("gram", "--window", tmp_path / "w.txt", "--stride", 2),
+    }[command]
+    before = set(os.listdir(tmp_path))
+    rc, _, err = run_cli(*extra, "--signal", tmp_path / "big.txt", "--matrix", tmp_path / "m.txt",
+                         "--out", tmp_path / "out.bin")
+    assert rc == 4, err
+    assert "NonFiniteOutput" in err
+    assert set(os.listdir(tmp_path)) == before
+
+
 def test_inprocess_main_matches_subprocess(workdir, capsys):
     d, g, f, w = workdir
     rc = main(["transform", "--signal", str(d / "f.txt"),

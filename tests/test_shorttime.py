@@ -254,8 +254,9 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
     """The gram and both reconstructions row by row, each shifted window an
     np.roll copy and each row its own FFT with the fftshift applied apart.
     Each row is the FFT of the once-chirped signal f * chirp times its
-    conjugate shifted window, and the overlap-add sum takes the conjugate
-    chirp once, before the shift lattice's cell."""
+    conjugate shifted window; the overlap-add takes the output factor off
+    each row as a product with its reciprocal, and its sum takes the
+    conjugate chirp once, before the shift lattice's cell."""
     g, s = f.grid, wspec.stride
     plan = _FastPlan(g, m)
     ucounts = tuple(N // s for N in g.counts)
@@ -264,8 +265,11 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
     rows = [np.fft.fftshift(np.fft.fftn(chirped * np.conj(w))) * plan.post for w in windows]
     acc = np.zeros(g.counts, dtype=complex)
     partition = np.zeros(g.counts)
+    # 1 / post, named: written inline, numpy's temporary elision swaps the
+    # row product's operands from 2^14 cells up, which moves a last bit
+    unpost = np.conj(plan.post) * plan.unscale
     for row, w in zip(rows, windows):
-        acc += np.fft.ifftn(np.fft.ifftshift(row / plan.post)) * w
+        acc += np.fft.ifftn(np.fft.ifftshift(row * unpost)) * w
         partition += np.abs(w) ** 2
     acc *= np.conj(plan.chirp)
     ucell = float(np.prod([s * d for d in g.spacing]))  # the shift lattice's cell
@@ -454,6 +458,52 @@ def test_sparse_cover_raises_coverage_error():
     gram = stnslct_gram(f, wspec, m)
     with pytest.raises(CoverageError):
         stnslct_reconstruct(gram, wspec, m)
+
+
+def test_coverage_is_checked_before_any_row_is_inverted(monkeypatch):
+    g = grid1()
+    wspec = WindowSpec(gaussian_1d(g, sigma=0.05), stride=32)
+    m = preset("fourier", 1)
+    gram = stnslct_gram(gaussian_1d(g, sigma=1.0), wspec, m)
+
+    def inverted(self, values):
+        raise AssertionError("a row was inverted")
+
+    monkeypatch.setattr(_FastPlan, "inverse_chirped", inverted)
+    with pytest.raises(CoverageError):
+        stnslct_reconstruct(gram, wspec, m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_inverse_and_reconstruction_call_no_divide(n, monkeypatch):
+    """Both inverses take the output factor off as a product with its
+    reciprocal, conj(post) * unscale, so they run with numpy.divide made to
+    raise."""
+    g = grid1() if n == 1 else grid2(32, 0.5)
+    f = synthesize("noise", g, seed=48)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.5), stride=2)
+    m = random_free_matrix(np.random.default_rng(49), n)
+    spec, gram = nslct_fast(f, m), stnslct_gram(f, wspec, m)
+
+    def divide(*args, **kwargs):
+        raise AssertionError("numpy.divide called")
+
+    monkeypatch.setattr(np, "divide", divide)
+    nslct_inverse(spec, m)
+    stnslct_reconstruct(gram, wspec, m)
+
+
+@pytest.mark.parametrize("counts, spacing", [(256, 0.1), (2048, 0.05)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_reconstruction_of_noise_is_within_rounding_of_the_peak(counts, spacing, stride):
+    g = grid1(counts, spacing)
+    f = synthesize("noise", g, seed=stride)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride)
+    m = random_free_matrix(np.random.default_rng(stride + 100), 1)
+    gram = stnslct_gram(f, wspec, m)
+    for mode in ("pointwise", "constant"):
+        rec = stnslct_reconstruct(gram, wspec, m, denominator=mode)
+        assert np.max(np.abs(rec.values - f.values)) <= 4e-15 * np.max(np.abs(f.values)), mode
 
 
 @settings(max_examples=15, deadline=None)

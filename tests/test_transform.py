@@ -183,6 +183,32 @@ def test_round_trip_identity():
         assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_inverse_multiplies_by_the_reciprocal_output_factor(n):
+    """nslct_inverse is ifftn(ifftshift(V * unpost)) * conj(chirp) byte for
+    byte, with unpost = conj(post) * unscale, the reciprocal of the output
+    factor, named once (see _FastPlan.inverse_chirped)."""
+    g = grid1() if n == 1 else grid2()
+    f = synthesize("noise", g, seed=23)
+    m = random_free_matrix(np.random.default_rng(24), n)
+    spec = nslct_fast(f, m)
+    plan = _plan(g, m)
+    unpost = np.conj(plan.post) * plan.unscale
+    want = np.fft.ifftn(np.fft.ifftshift(spec.values * unpost)) * np.conj(plan.chirp)
+    assert nslct_inverse(spec, m).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("counts, spacing", [((256,), 0.1), ((2048,), 0.05), ((64, 64), 0.35),
+                                             ((512, 512), 0.05)])
+def test_round_trip_of_noise_is_within_rounding_of_the_peak(counts, spacing):
+    g = Grid.centered(counts, spacing)
+    for seed in range(2):
+        f = synthesize("noise", g, seed=seed)
+        m = random_free_matrix(np.random.default_rng(seed + 50), g.n)
+        back = nslct_inverse(nslct_fast(f, m), m)
+        assert np.max(np.abs(back.values - f.values)) <= 2e-15 * np.max(np.abs(f.values)), seed
+
+
 def test_inverse_rejects_foreign_spectrum():
     f = gaussian_1d(grid1())
     spec = nslct_fast(f, preset("fourier", 1))
