@@ -12,8 +12,8 @@ import importlib
 # first read of one of its names (PEP 562), so `import nslct.cli` pays
 # for neither the uncertainty reports nor the verify suite
 _EXPORTS = {name: module for module, names in {
-    "errors": ("BadAlpha", "BadBox", "BadP", "BadParam", "CoverageError", "DimensionError",
-               "GridMismatch", "NSLCTError", "SingularB", "SymplecticViolation", "ZeroSignal"),
+    "errors": ("BadAlpha", "BadBox", "BadP", "BadParam", "CoverageError", "DimensionError", "GridMismatch",
+               "NonFiniteOutput", "NSLCTError", "SingularB", "SymplecticViolation", "ZeroSignal"),
     "grids": ("Gram", "Grid", "SampledSignal", "Spectrum", "WarpedGrid", "frequency_grid",
               "inner", "lp_norm", "norm_l2", "output_lattice", "synthesize"),
     "shorttime": ("WindowSpec", "moyal", "stnslct_gram", "stnslct_reconstruct"),
@@ -22,9 +22,8 @@ _EXPORTS = {name: module for module, names in {
     "transform": ("kernel_eval", "nslct_direct", "nslct_fast", "nslct_inverse",
                   "spectrum_as_signal"),
     "uncertainty": ("ConcentrationSets", "UPReport", "boundedness_margin", "boundedness_report",
-                    "concentration", "dispersion_spatial", "dispersion_spectral",
-                    "hausdorff_young_report", "heisenberg_report", "lieb_report", "log_report",
-                    "pitt_constant", "pitt_report"),
+                    "concentration", "dispersion_spatial", "hausdorff_young_report", "heisenberg_report",
+                    "lieb_report", "log_report", "pitt_constant", "pitt_report"),
     "verify": ("SUITE_NAMES", "Record", "run_suite"),
 }.items() for name in names}
 

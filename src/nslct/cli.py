@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import io as nio
 from .errors import BadParam, CoverageError, GridMismatch, NonFiniteOutput, NSLCTError, ZeroSignal
@@ -167,11 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (NSLCTError, nio.ParseError, UsageError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, _NUMERIC_ERRORS) else 3 if isinstance(exc, NSLCTError) else 2
+    # numpy's RuntimeWarnings would print before the error line; unlike
+    # np.errstate, the process's filters reach the chunk threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return args.func(args)
+        except (NSLCTError, nio.ParseError, UsageError, OSError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 4 if isinstance(exc, _NUMERIC_ERRORS) else 3 if isinstance(exc, NSLCTError) else 2
 
 
 if __name__ == "__main__":

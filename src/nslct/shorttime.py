@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
     Grid, Gram, SampledSignal, _chunks, _chunkwise, _sums, _table_sums, check_gram, gram_cell, inner,
-    shift_lattice,
+    output_lattice, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
 from .transform import _plan
@@ -126,12 +126,12 @@ def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -
     return Gram(m, f.grid, wspec.stride, vals)
 
 
-def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, wgrid, needs) -> list:
-    """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), whose
-    output lattice is wgrid, each taken from a chunk as the gram's fill makes
-    it, so no gram is held.  Each is, bit for bit, the same sum over the kept
-    gram."""
-    cell = gram_cell(wgrid, shift_lattice(f.grid, wspec.stride))
+def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, needs) -> list:
+    """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), each
+    taken from a chunk as the gram's fill makes it, so no gram is held.  Each
+    is, bit for bit, the same sum over the kept gram: the cell is the kept
+    gram's, from the lattices that f's grid, the stride and m fix."""
+    cell = gram_cell(output_lattice(f.grid, m), shift_lattice(f.grid, wspec.stride))
     return _sums(needs, cell, *_gram_source(f, wspec, m))
 
 

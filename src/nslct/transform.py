@@ -184,8 +184,9 @@ class _FastPlan:
     the grid's shared axes (_grid_axes).
 
     Built once per (matrix object, grid) by _plan and shared by every call
-    under that pair, so both arrays are read-only.  It holds no reference to
-    its matrix, which keeps the matrix, and with it the plan, collectable.
+    under that pair, so both arrays are read-only; its callers apply the
+    input chirp.  It holds no reference to its matrix, which keeps the
+    matrix, and with it the plan, collectable.
     The factors are built, and applied, in place where that leaves the bytes
     unchanged: a kept plan adds two full-grid arrays to the caller's peak
     memory, and each temporary saved offsets part of that.
@@ -207,11 +208,6 @@ class _FastPlan:
         self.post.setflags(write=False)
         self.quadrants, self.fft, self.ifft = axes.quadrants, axes.fft, axes.ifft
 
-    def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transform one grid of values, or a stack of them, over the last n
-        axes: the input chirp, then forward_chirped (out may be values itself)."""
-        return self.forward_chirped(values * self.chirp, out)
-
     def forward_chirped(self, chirped: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform values already multiplied by the input chirp: the FFT,
         taken in place over chirped, and the output factor.
@@ -225,13 +221,6 @@ class _FastPlan:
             out = np.empty_like(chirped)
         for src, dst in self.quadrants:
             np.multiply(chirped[src], self.post[dst], out=out[dst])
-        return out
-
-    def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        """Undo forward_values over the last n axes of one grid or a stack:
-        inverse_chirped, then the conjugate input chirp."""
-        out = self.inverse_chirped(values)
-        out *= np.conj(self.chirp)
         return out
 
     def inverse_chirped(self, values: np.ndarray) -> np.ndarray:
@@ -266,7 +255,7 @@ def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:
     """Transform on the warped FFT lattice w = B omega in O(N log N)."""
     plan = _plan(f.grid, m)
-    return Spectrum(m, plan.forward_values(f.values), f.grid)
+    return Spectrum(m, plan.forward_chirped(f.values * plan.chirp), f.grid)
 
 
 def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
@@ -277,7 +266,9 @@ def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
     if not same_matrix(spec.matrix, m):
         raise GridMismatch("spectrum was produced under a different matrix")
     plan = _plan(spec.signal_grid, m)
-    return SampledSignal(spec.signal_grid, plan.inverse_values(spec.values))
+    out = plan.inverse_chirped(spec.values)
+    out *= np.conj(plan.chirp)
+    return SampledSignal(spec.signal_grid, out)
 
 
 def spectrum_as_signal(spec: Spectrum) -> SampledSignal:

@@ -6,7 +6,8 @@ and the margin, so a caller can see not just pass/fail but how much slack
 the printed constants leave.  Weighted frequency sums (negative powers and
 logarithms of |w|) give the single zero-frequency cell weight zero.
 
-A report is the sums it needs over the gram plus a finish step (_on_gram):
+A report is the sums it needs over the gram plus a finish step, both made
+from the signal, the window and the matrix alone (_on_gram):
 sum |V|^p, sum |V|^2 * weight, max |V| or a pairing, all taken in one pass
 over the gram's blocks (grids._sums).  The public reports read the sums
 from a kept gram; verify takes the same sums, bit for bit, from the gram's
@@ -20,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAlpha, BadBox, BadP, ZeroSignal
-from .grids import Gram, SampledSignal, _power_sum, _table_sums, check_gram, lp_norm, norm_l2
+from .grids import (
+    Gram, SampledSignal, _power_sum, _table_sums, check_gram, frequency_grid, lp_norm, norm_l2,
+    output_lattice,
+)
 from .shorttime import WindowSpec
 from .symplectic import FreeSymplecticMatrix
 from .transform import _amplitude
@@ -75,13 +79,14 @@ def _on_gram(build, f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix
              **kwargs) -> UPReport:
     """The report of build, its sums read from a kept gram.
 
-    A build(f, wspec, m, wgrid, **kwargs) gives (needs, finish): the sums
-    (grids._sums) it needs over the gram on output lattice wgrid, and the
-    step that turns them into the report.  verify.run_suite takes the same
-    sums from a gram that is never held (shorttime._gram_sums).
+    A build(f, wspec, m, **kwargs) gives (needs, finish): the sums
+    (grids._sums) it needs over the gram, its weights read off
+    output_lattice(f.grid, m), and the step that turns them into the report.
+    verify.run_suite takes the same sums from a gram that is never held
+    (shorttime._gram_sums).
     """
     check_gram(gram, f.grid, m, wspec.stride)
-    needs, finish = build(f, wspec, m, gram.wgrid, **kwargs)
+    needs, finish = build(f, wspec, m, **kwargs)
     return finish(*_table_sums(gram, needs))
 
 
@@ -89,11 +94,6 @@ def dispersion_spatial(f: SampledSignal) -> float:
     """Second moment vol * sum |x|^2 |f|^2 about the coordinate origin."""
     _require_nonzero(f)
     return _power_sum(f, 2.0, sum(m * m for m in f.grid.mesh()))
-
-
-def dispersion_spectral(g: Gram) -> float:
-    """Second moment of the gram, sum |w|^2 |V|^2 over (u, w) cells."""
-    return _power_sum(g, 2.0, sum(m * m for m in g.wgrid.point_meshes()))
 
 
 def _radius(meshes) -> np.ndarray:
@@ -109,7 +109,7 @@ def _off_zero(r: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _heisenberg(f, wspec, m, wgrid):
+def _heisenberg(f, wspec, m):
     nphi = math.sqrt(wspec.norm2)
     spatial = dispersion_spatial(f)
     constant = m.n * m.sigma_min_b / (4.0 * math.pi)
@@ -119,7 +119,7 @@ def _heisenberg(f, wspec, m, wgrid):
         lhs = math.sqrt(spectral) * math.sqrt(spatial * wspec.norm2) / nphi
         return UPReport("heisenberg", lhs, rhs, constant, lhs - rhs)
 
-    return [(2.0, sum(mm * mm for mm in wgrid.point_meshes()))], finish
+    return [(2.0, sum(mm * mm for mm in output_lattice(f.grid, m).point_meshes()))], finish
 
 
 def heisenberg_report(
@@ -149,13 +149,13 @@ def pitt_constant(n: int, alpha: float) -> float:
     return math.pi**alpha * (math.gamma((n - alpha) / 4.0) / math.gamma((n + alpha) / 4.0)) ** 2
 
 
-def _pitt(f, wspec, m, wgrid, alpha):
+def _pitt(f, wspec, m, alpha):
     alpha = float(alpha)
     constant = pitt_constant(m.n, alpha)
     _require_nonzero(f)
     weight = None
     if alpha > 0.0:
-        weight = _off_zero(_radius(wgrid.point_meshes()), lambda r: r ** (-alpha))
+        weight = _off_zero(_radius(output_lattice(f.grid, m).point_meshes()), lambda r: r ** (-alpha))
     moment = _power_sum(f, 2.0, _radius(f.grid.mesh()) ** alpha)
     rhs = constant * abs(m.det_b) ** (-alpha) * wspec.norm2 * moment
     return [(2.0, weight)], lambda lhs: UPReport("pitt", lhs, rhs, constant, rhs - lhs)
@@ -172,7 +172,7 @@ def pitt_report(
     return _on_gram(_pitt, f, wspec, m, gram, alpha=alpha)
 
 
-def _lieb(f, wspec, m, wgrid, p):
+def _lieb(f, wspec, m, p):
     p = float(p)
     if not (2.0 <= p < math.inf):
         raise BadP(f"p = {p} must be finite and >= 2")
@@ -201,7 +201,7 @@ def lieb_report(
     return _on_gram(_lieb, f, wspec, m, gram, p=p)
 
 
-def _hausdorff_young(f, wspec, m, wgrid, p):
+def _hausdorff_young(f, wspec, m, p):
     p = float(p)
     if not (1.0 <= p <= 2.0):
         raise BadP(f"p = {p} must sit in [1, 2]")
@@ -230,7 +230,7 @@ def hausdorff_young_report(
 _DIGAMMA_HALF_N = {1: -np.euler_gamma - 2.0 * math.log(2.0), 2: -np.euler_gamma}
 
 
-def _log(f, wspec, m, wgrid):
+def _log(f, wspec, m):
     nf = _require_nonzero(f)
     xterm = _power_sum(f, 2.0, _off_zero(_radius(f.grid.mesh()), np.log))
     constant = _DIGAMMA_HALF_N[m.n] - math.log(math.pi)
@@ -240,7 +240,7 @@ def _log(f, wspec, m, wgrid):
         lhs = wterm + wspec.norm2 * xterm
         return UPReport("logarithmic", lhs, rhs, constant, lhs - rhs)
 
-    return [(2.0, _off_zero(_radius(wgrid.base.mesh()), np.log))], finish
+    return [(2.0, _off_zero(_radius(frequency_grid(f.grid).mesh()), np.log))], finish
 
 
 def log_report(
@@ -258,7 +258,7 @@ def log_report(
     return _on_gram(_log, f, wspec, m, gram)
 
 
-def _boundedness(f, wspec, m, wgrid):
+def _boundedness(f, wspec, m):
     bound = _amplitude(m) * norm_l2(f) * math.sqrt(wspec.norm2)
     constant = (2.0 * math.pi) ** (-m.n / 2.0)
     return [(math.inf, None)], lambda sup: UPReport(

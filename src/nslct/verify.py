@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadParam
-from .grids import Grid, SampledSignal, check_seed, lp_norm, norm_l2, output_lattice, synthesize
+from .grids import Grid, SampledSignal, check_seed, lp_norm, norm_l2, synthesize
 from .shorttime import WindowSpec, _gram_sums, moyal, stnslct_gram
 from .symplectic import (
     FreeSymplecticMatrix,
@@ -175,7 +175,7 @@ def _suite_parseval(seed: int) -> list[Record]:
     return out
 
 
-def _moyal_energy(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, wgrid):
+def _moyal_energy(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):
     """Moyal's formula on the diagonal: <gram, gram> = ||f||^2 ||phi||^2, as a
     report build (uncertainty._on_gram).  The pairing of a gram with itself
     is its energy, the sum of |V|^2 that other reports need too."""
@@ -263,10 +263,9 @@ def run_suite(suite: str, seed: int = 1) -> tuple[list[Record], dict[str, float]
     if "parseval" in wanted:
         by_suite["parseval"] = _suite_parseval(seed)
     for c in _combos(seed) if on_combos else ():
-        wgrid = output_lattice(c.f.grid, c.m)
-        rows = [(name, rule, c.params + suffix, *build(c.f, c.wspec, c.m, wgrid, **kwargs))
+        rows = [(name, rule, c.params + suffix, *build(c.f, c.wspec, c.m, **kwargs))
                 for name in on_combos for build, kwargs, suffix, rule in _FAMILIES[name]]
-        sums = iter(_gram_sums(c.f, c.wspec, c.m, wgrid, [n for *_, needs, _ in rows for n in needs]))
+        sums = iter(_gram_sums(c.f, c.wspec, c.m, [n for *_, needs, _ in rows for n in needs]))
         for name, rule, params, needs, finish in rows:
             by_suite[name].append(rule(name, finish(*[next(sums) for _ in needs]), params))
     if "moyal" in wanted:

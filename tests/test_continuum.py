@@ -12,7 +12,7 @@ import pytest
 
 from nslct import (
     Grid, SampledSignal, WindowSpec, boundedness_report, compose, hausdorff_young_report, heisenberg_report,
-    lieb_report, nslct_fast, output_lattice, preset, random_free_matrix, shorttime, spectrum_as_signal,
+    lieb_report, nslct_fast, preset, random_free_matrix, shorttime, spectrum_as_signal,
     stnslct_gram, synthesize, uncertainty,
 )
 
@@ -169,9 +169,8 @@ def test_matched_gaussian_reports_meet_their_closed_forms(n):
     gram = stnslct_gram(f, wspec, m)
     kept = {name: report(f, wspec, m, gram=gram, **kw).lhs for name, (report, _, kw, _) in REPORTS.items()}
     del gram
-    wgrid = output_lattice(grid, m)
-    builds = {name: build(f, wspec, m, wgrid, **kw) for name, (_, build, kw, _) in REPORTS.items()}
-    sums = iter(shorttime._gram_sums(f, wspec, m, wgrid, [need for needs, _ in builds.values() for need in needs]))
+    builds = {name: build(f, wspec, m, **kw) for name, (_, build, kw, _) in REPORTS.items()}
+    sums = iter(shorttime._gram_sums(f, wspec, m, [need for needs, _ in builds.values() for need in needs]))
     streamed = {name: finish(*[next(sums) for _ in needs]).lhs for name, (needs, finish) in builds.items()}
     for name, (*_, closed_form) in REPORTS.items():
         want = closed_form(n)
@@ -212,7 +211,7 @@ def _closed_form_row_errors(m, p_mat, center, stride) -> dict:
                    for u in gram.ugrid.flat_points()]).reshape(gram.values.shape)
     errors = {}
     for name, (build, kwargs) in ROW_REPORTS.items():
-        needs, finish = build(f, wspec, m, gram.wgrid, **kwargs)
+        needs, finish = build(f, wspec, m, **kwargs)
         sums = [float(np.max(mags)) if p == np.inf else float(gram.cell * np.sum(mags**p if w is None else mags**p * w))
                 for p, w in needs]
         want = finish(*sums).lhs

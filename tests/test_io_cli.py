@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nslct import (
     stnslct_reconstruct,
     synthesize,
 )
+from nslct import grids
 from nslct import io as nio
 from nslct.cli import main
 
@@ -654,8 +656,30 @@ def test_non_finite_output_maps_to_numeric_exit_and_writes_nothing(tmp_path, com
     rc, _, err = run_cli(*extra, "--signal", tmp_path / "big.txt", "--matrix", tmp_path / "m.txt",
                          "--out", tmp_path / "out.bin")
     assert rc == 4, err
-    assert "NonFiniteOutput" in err
+    assert len(err.splitlines()) == 1 and err.startswith("NonFiniteOutput: "), err
     assert set(os.listdir(tmp_path)) == before
+
+
+def test_non_finite_gram_on_threads_prints_one_error_line(tmp_path, monkeypatch, capsys):
+    """A 256-point stride-1 gram is two chunks, made on two threads, whose
+    overflow warnings np.errstate would not silence: main prints the one
+    error line and leaves the warning filters as it found them."""
+    g = Grid.centered(256, 0.1)
+    nio.write_signal(tmp_path / "big.txt", SampledSignal(g, np.full(256, 1e307, dtype=complex)))
+    nio.write_signal(tmp_path / "w.txt", SampledSignal(g, np.ones(256, dtype=complex)))
+    (tmp_path / "m.txt").write_text("n=1; preset=frft; alpha=0.7\n")
+    assert len(grids._chunks((256,), 256)) == 2
+    monkeypatch.setattr(grids, "_WORKERS", 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        rc = main(["gram", "--signal", str(tmp_path / "big.txt"), "--window", str(tmp_path / "w.txt"),
+                   "--matrix", str(tmp_path / "m.txt"), "--stride", "1", "--out", str(tmp_path / "V.bin")])
+        assert warnings.filters == filters
+    assert rc == 4 and caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("NonFiniteOutput: "), err
+    assert not (tmp_path / "V.bin").exists()
 
 
 def test_inprocess_main_matches_subprocess(workdir, capsys):

@@ -15,16 +15,17 @@ from nslct import (
 )
 from nslct.cli import main
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 EXPORTS = [
     "BadAlpha", "BadBox", "BadP", "BadParam", "ConcentrationSets",
     "CoverageError", "DimensionError", "FreeSymplecticMatrix",
-    "Gram", "Grid", "GridMismatch", "NSLCTError", "Record", "SampledSignal",
+    "Gram", "Grid", "GridMismatch", "NonFiniteOutput", "NSLCTError", "Record", "SampledSignal",
     "SingularB", "Spectrum", "SUITE_NAMES", "SymplecticViolation", "UPReport",
     "WarpedGrid", "WindowSpec", "ZeroSignal", "boundedness_margin",
     "boundedness_report", "compose",
-    "concentration", "dispersion_spatial", "dispersion_spectral",
+    "concentration", "dispersion_spatial",
     "frequency_grid", "hausdorff_young_report", "heisenberg_report", "inner",
     "inverse", "kernel_eval", "lieb_report", "log_report", "lp_norm", "moyal",
     "norm_l2", "nslct_direct", "nslct_fast", "nslct_inverse", "output_lattice",
@@ -68,8 +69,8 @@ def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
     needs = []
     for build, kwargs, _, _ in (row for rows in verify._FAMILIES.values() for row in rows):
         uncertainty._on_gram(build, f, wspec, m, gram, **kwargs)
-        needs += build(f, wspec, m, gram.wgrid, **kwargs)[0]
-    shorttime._gram_sums(f, wspec, m, gram.wgrid, needs)
+        needs += build(f, wspec, m, **kwargs)[0]
+    shorttime._gram_sums(f, wspec, m, needs)
     moyal(gram, stnslct_gram(synthesize("noise", g, seed=4), wspec, m))
     assert started == []
 
@@ -87,6 +88,31 @@ def test_exports_resolve_lazily_to_their_modules():
     with pytest.raises(AttributeError, match="no_such_name"):
         nslct.no_such_name
     assert not hasattr(nslct, "verify_suite")
+
+
+def test_every_error_class_is_exported():
+    classes = {name for name, obj in vars(nslct.errors).items()
+               if isinstance(obj, type) and issubclass(obj, nslct.errors.NSLCTError)}
+    assert "NonFiniteOutput" in classes
+    assert classes <= set(nslct.__all__)
+
+
+def test_the_library_imports_no_test_or_benchmark_module():
+    """No module of the package imports tests/ or perfbench/, or a module
+    that either puts on sys.path (helpers, checks, workloads, ...)."""
+    banned = {"tests", "perfbench"} | {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
+    sources = sorted((ROOT / "src" / "nslct").glob("*.py"))
+    assert len(sources) >= 9 and "helpers" in banned and "workloads" in banned
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, (path.name, name)
 
 
 def test_cli_verify_calls_the_run_suite_bound_in_the_cli_module(monkeypatch, capsys):

@@ -352,8 +352,8 @@ def _eight_chunk_case():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-# the gram's rows go through forward_chirped, the part of forward_values after
-# the input chirp, and the overlap-add's through inverse_chirped
+# the gram's rows go through the plan's forward step, forward_chirped, and the
+# overlap-add's through its inverse step, inverse_chirped (ids: the direction)
 @pytest.mark.parametrize("name", [pytest.param("forward_chirped", id="forward_values"),
                                   pytest.param("inverse_chirped", id="inverse_values")])
 def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers, monkeypatch):
@@ -425,7 +425,7 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
     # report sums over the 8 blocks of that gram, each thread filling its own scratch block
     weight = np.abs(np.linspace(-1.0, 1.0, f.grid.size))
     kept = stnslct_gram(f, wspec, m)
-    cell, wgrid = kept.cell, kept.wgrid
+    cell = kept.cell
     mags = np.abs(want_gram)
     want_sum = float(cell * np.sum(mags**2 * mags * weight))
     want_pairing = complex(np.sum(want_gram * np.conj(want_gram)) * cell)
@@ -442,7 +442,7 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
             # the same sums from the gram's chunks as they are made, the gram never held
             needs = [(3.0, weight), ("conj", want_gram.reshape(-1))]
-            streamed = shorttime._gram_sums(f, wspec, m, wgrid, needs)
+            streamed = shorttime._gram_sums(f, wspec, m, needs)
             assert np.array(streamed).tobytes() == np.array([want_sum, want_pairing]).tobytes()
     finally:
         sys.setswitchinterval(interval)

@@ -15,7 +15,6 @@ from nslct import (
     boundedness_report,
     concentration,
     dispersion_spatial,
-    dispersion_spectral,
     hausdorff_young_report,
     heisenberg_report,
     lieb_report,
@@ -27,6 +26,7 @@ from nslct import (
     random_free_matrix,
     stnslct_gram,
     synthesize,
+    uncertainty,
 )
 
 from helpers import gaussian_1d, grid1, grid2
@@ -48,6 +48,13 @@ def test_dispersion_spatial_gaussian_oracle(matched):
     g, f, *_ = matched
     # unit-normalized Gaussian with sigma = 1 has second moment 1/2
     assert dispersion_spatial(f) == pytest.approx(0.5, rel=1e-10)
+    # |f|^2 ~ exp(-|x|^2 / sigma^2) has second moment n sigma^2 / 2 (measured
+    # within 3.4e-16 relative on both grids)
+    for grid in (grid1(), grid2()):
+        for sigma in (1.0, 1.4):
+            want = grid.n * sigma**2 / 2.0
+            got = dispersion_spatial(synthesize("gaussian", grid, sigma=sigma))
+            assert abs(got - want) <= 1e-12 * want, (grid.n, sigma, got)
     with pytest.raises(ZeroSignal):
         dispersion_spatial(SampledSignal(g, np.zeros(256, dtype=complex)))
 
@@ -55,8 +62,12 @@ def test_dispersion_spatial_gaussian_oracle(matched):
 def test_dispersion_spectral_matched_gaussian(matched):
     g, f, wspec, m, gram = matched
     # |V|^2 = (2 pi)^-1 exp(-(u^2 + w^2)/2) in closed form, so the gram's
-    # second w-moment integrates to exactly 1
-    got = dispersion_spectral(gram)
+    # second w-moment integrates to exactly 1; it is the one sum heisenberg's
+    # build needs, read here as a report whose finish step returns it bare
+    def spectral(f, wspec, m):
+        return uncertainty._heisenberg(f, wspec, m)[0], lambda total: total
+
+    got = uncertainty._on_gram(spectral, f, wspec, m, gram)
     assert got == pytest.approx(1.0, rel=1e-9)
 
 

@@ -161,12 +161,12 @@ def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, mon
         assert len(shorttime._gram_source(f, wspec, m)[1]) == chunks
         gram = stnslct_gram(f, wspec, m)
         needs = [need for rows in nslct.verify._FAMILIES.values() for build, kwargs, _, _ in rows
-                 for need in build(f, wspec, m, gram.wgrid, **kwargs)[0]]
+                 for need in build(f, wspec, m, **kwargs)[0]]
         assert {p for p, _ in needs} == {np.inf, 2.0, 3.0, 4.0}
         assert sum(w is not None for p, w in needs if p == 2.0) == 3
         other = stnslct_gram(nslct.verify._odd_partner(f), wspec, m)
         needs.append(("conj", other.values.reshape(-1)))
-        streamed = shorttime._gram_sums(f, wspec, m, gram.wgrid, needs)
+        streamed = shorttime._gram_sums(f, wspec, m, needs)
         assert _bytes(streamed) == _bytes(grids._table_sums(gram, needs))
         mags = np.abs(gram.values)
         sq = mags**2
