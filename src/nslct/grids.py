@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParam, GridMismatch
+from .errors import BadParam, GridMismatch, NonFiniteOutput
 from .symplectic import FreeSymplecticMatrix, _det, same_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -136,6 +136,15 @@ class SampledSignal:
     def cell(self) -> float:
         """Volume of one sample cell."""
         return self.grid.vol
+
+
+def _result_signal(grid: Grid, values: np.ndarray) -> SampledSignal:
+    """A signal the library computed: its one finiteness check raises
+    NonFiniteOutput (an overflow), not a caller's BadParam."""
+    try:
+        return SampledSignal(grid, values)
+    except BadParam:  # the only BadParam a signal on a valid grid raises
+        raise NonFiniteOutput("signal holds non-finite values (overflow)") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,43 +405,36 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
     cells in row-major order; fill(chunk, out) returns a chunk's values,
     written into out (chunk-sized complex scratch) or read from elsewhere.
     A need is (p, weight) for cell * sum |V|^p * weight, weight None or
-    spanning the trailing (grid) axes of V; (inf, None) for max |V|; or
-    ("conj", b) for sum V * conj(b) * cell, b the flat cells of a table of
-    V's shape (a gram's energy is the need (2.0, None), not a pairing with
-    itself).  Results come in the order of needs.
+    spanning the trailing (grid) axes of V, or (inf, None) for max |V|.
+    Results come in the order of needs.
 
     The chunks run on _chunkwise's threads, each thread slot working in its
     own set of scratch arrays from the calling thread, and take |V| and
     |V|^2 once.  Each term is built from them in the ufuncs and operand
     order of its expression over the whole table: with sq = |V| ** 2, the
     power is |V|, sq, sq * |V| or sq * sq at p = 1, 2, 3 or 4 and |V| ** p
-    at any other p, times weight if given; the pairing is V * np.conj(b).
-    Each is summed by one np.sum per chunk, and the chunk sums are added in
-    a pairwise tree (_tree), so each sum is, bit for bit, one np.sum over
-    the whole table of terms, without that table ever being held.
+    at any other p, times weight if given.  Each is summed by one np.sum
+    per chunk, and the chunk sums are added in a pairwise tree (_tree), so
+    each sum is, bit for bit, one np.sum over the whole table of terms,
+    without that table ever being held.
     """
     keys = list({(p, id(w)): (p, w) for p, w in needs}.values())
     step = math.prod(shape) // len(chunks)
-    args = [w if w is None or p == "conj" else np.broadcast_to(w, shape[len(shape) - np.ndim(w):]).reshape(-1)
-            for p, w in keys]
-    powers = [p for p, _ in keys if p != "conj"]
-    squared = any(p in (2.0, 3.0, 4.0) for p in powers)
+    args = [w if w is None else np.broadcast_to(w, shape[len(shape) - np.ndim(w):]).reshape(-1)
+            for _, w in keys]
+    squared = any(p in (2.0, 3.0, 4.0) for p, _ in keys)
     scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
                for _ in range(min(_WORKERS, len(chunks)))]
 
     def chunk_sums(item, slot):
         k, chunk = item
         values, mags, squares, terms = scratch[slot]
-        values = fill(chunk, values).reshape(-1)
-        if powers:
-            np.abs(values, out=mags)
+        np.abs(fill(chunk, values).reshape(-1), out=mags)
         if squared:
             np.square(mags, out=squares)
         out = []
         for (p, _), w in zip(keys, args):
-            if p == "conj":  # this expression, for numpy's temporary elision (shorttime.moyal)
-                out.append(np.sum(values * np.conj(w[k * step:(k + 1) * step])))
-            elif p == math.inf:
+            if p == math.inf:
                 out.append(np.max(mags))
             else:
                 t = (mags if p == 1.0 else squares if p == 2.0
@@ -447,11 +449,8 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
 
     per_chunk = []
     _chunkwise(list(enumerate(chunks)), chunk_sums, lambda item, sums: per_chunk.append(sums))
-    found = {}
-    for i, (p, w) in enumerate(keys):
-        sums = [s[i] for s in per_chunk]
-        found[p, id(w)] = (float(max(sums)) if p == math.inf else complex(_tree(sums) * cell)
-                           if p == "conj" else float(cell * _tree(sums)))
+    found = {(p, id(w)): float(max(sums)) if p == math.inf else float(cell * _tree(sums))
+             for (p, w), sums in zip(keys, zip(*per_chunk))}
     return [found[p, id(w)] for p, w in needs]
 
 

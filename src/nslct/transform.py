@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BadParam, GridMismatch
 from .grids import (
-    Grid, SampledSignal, Spectrum, _chunks, _warp_meshes, check_dimension, frequency_grid,
+    Grid, SampledSignal, Spectrum, _chunks, _result_signal, _warp_meshes, check_dimension, frequency_grid,
 )
 from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 
@@ -261,14 +261,15 @@ def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:
 def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
     """Undo nslct_fast; exact (to rounding) on its own lattice.
 
-    Raises GridMismatch unless m is the matrix the spectrum was made under.
+    Raises GridMismatch unless m is the matrix the spectrum was made under,
+    and NonFiniteOutput if the result overflows.
     """
     if not same_matrix(spec.matrix, m):
         raise GridMismatch("spectrum was produced under a different matrix")
     plan = _plan(spec.signal_grid, m)
     out = plan.inverse_chirped(spec.values)
     out *= np.conj(plan.chirp)
-    return SampledSignal(spec.signal_grid, out)
+    return _result_signal(spec.signal_grid, out)
 
 
 def spectrum_as_signal(spec: Spectrum) -> SampledSignal:

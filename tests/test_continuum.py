@@ -12,7 +12,7 @@ import pytest
 
 from nslct import (
     Grid, SampledSignal, WindowSpec, boundedness_report, compose, hausdorff_young_report, heisenberg_report,
-    lieb_report, nslct_fast, preset, random_free_matrix, shorttime, spectrum_as_signal,
+    lieb_report, lp_norm, nslct_fast, preset, random_free_matrix, shorttime, spectrum_as_signal,
     stnslct_gram, synthesize, uncertainty,
 )
 
@@ -176,6 +176,24 @@ def test_matched_gaussian_reports_meet_their_closed_forms(n):
         want = closed_form(n)
         for got in (kept[name], streamed[name]):
             assert abs(got - want) <= 1e-12 * want, (name, got, want)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.4])
+@pytest.mark.parametrize("grid", [pytest.param(lambda: grid1(), id="256x0.1"),
+                                  pytest.param(lambda: grid1(2048, 0.0125), id="2048x0.0125"),
+                                  pytest.param(lambda: grid2(), id="64^2x0.35")])
+def test_gaussian_lp_norms_meet_their_closed_forms(grid, sigma):
+    """The L^p norms that the Hausdorff-Young right side ||phi||_q ||f||_p
+    reads, of the unit-L2 Gaussian prod_j pi^(-1/4) s^(-1/2) exp(-x_j^2 / (2 s^2)):
+    ||g||_p^p = prod_j (pi s^2)^(-p/4) s sqrt(2 pi / p), and ||g||_inf is its
+    peak, which sits on the sample x = 0.  To 1e-13 relative."""
+    g = grid()
+    f = synthesize("gaussian", g, sigma=sigma, normalize=False)
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0, np.inf):
+        per_axis = (np.pi ** -0.25 / np.sqrt(sigma) if p == np.inf
+                    else ((np.pi * sigma**2) ** (-p / 4.0) * sigma * np.sqrt(2.0 * np.pi / p)) ** (1.0 / p))
+        want, got = per_axis ** g.n, lp_norm(f, p)
+        assert abs(got - want) <= 1e-13 * want, (p, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import pytest
 from nslct import (
     BadParam,
     DimensionError,
+    Gram,
     Grid,
     GridMismatch,
     SampledSignal,
+    Spectrum,
     WindowSpec,
     norm_l2,
     nslct_fast,
@@ -637,24 +639,30 @@ def test_coverage_failure_maps_to_numeric_exit(workdir):
     assert "CoverageError" in err
 
 
-@pytest.mark.parametrize("command", ["transform", "direct", "gram"])
+@pytest.mark.parametrize("command", ["transform", "direct", "gram", "invert-spectrum", "invert-gram"])
 def test_non_finite_output_maps_to_numeric_exit_and_writes_nothing(tmp_path, command):
-    """A finite signal of 1e307 overflows every transform of it: the CLI
-    exits 4 and leaves no file, where it used to write one that its own
-    reader refuses."""
+    """A finite signal of 1e307 overflows every transform of it, and a finite
+    spectrum or gram of 1e307 overflows its inverse: the CLI exits 4 and
+    leaves no file, where it used to write one that its own reader refuses."""
     g = Grid.centered(64, 0.1)
-    nio.write_signal(tmp_path / "big.txt", SampledSignal(g, np.full(64, 1e307, dtype=complex)))
+    m = preset("frft", 1, alpha=0.7)
+    big = np.full(64, 1e307, dtype=complex)
+    nio.write_signal(tmp_path / "big.txt", SampledSignal(g, big))
     nio.write_signal(tmp_path / "w.txt", SampledSignal(g, np.ones(64, dtype=complex)))
+    nio.write_spectrum(tmp_path / "S.bin", Spectrum(m, big, g))
+    nio.write_gram(tmp_path / "V.bin", Gram(m, g, 1, np.full((64, 64), 1e307, dtype=complex)), g, 1, m, "w.txt")
     (tmp_path / "m.txt").write_text("n=1; preset=frft; alpha=0.7\n")
     (tmp_path / "pts.txt").write_text("0.0\n0.5\n")
-    extra = {
-        "transform": ("transform",),
-        "direct": ("transform", "--method", "direct", "--wpoints", tmp_path / "pts.txt"),
-        "gram": ("gram", "--window", tmp_path / "w.txt", "--stride", 2),
+    signal = ("--signal", tmp_path / "big.txt")
+    args = {
+        "transform": ("transform", *signal),
+        "direct": ("transform", *signal, "--method", "direct", "--wpoints", tmp_path / "pts.txt"),
+        "gram": ("gram", *signal, "--window", tmp_path / "w.txt", "--stride", 2),
+        "invert-spectrum": ("invert", "--input", tmp_path / "S.bin"),
+        "invert-gram": ("invert", "--input", tmp_path / "V.bin", "--window", tmp_path / "w.txt"),
     }[command]
     before = set(os.listdir(tmp_path))
-    rc, _, err = run_cli(*extra, "--signal", tmp_path / "big.txt", "--matrix", tmp_path / "m.txt",
-                         "--out", tmp_path / "out.bin")
+    rc, _, err = run_cli(*args, "--matrix", tmp_path / "m.txt", "--out", tmp_path / "out.bin")
     assert rc == 4, err
     assert len(err.splitlines()) == 1 and err.startswith("NonFiniteOutput: "), err
     assert set(os.listdir(tmp_path)) == before

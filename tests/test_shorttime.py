@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from nslct import (
     BadParam,
     CoverageError,
+    Gram,
     Grid,
     GridMismatch,
+    NonFiniteOutput,
     SampledSignal,
+    Spectrum,
     WindowSpec,
     ZeroSignal,
     boundedness_margin,
@@ -159,6 +162,48 @@ def test_moyal_cross_terms_vanish_for_orthogonal_signals():
     g1 = stnslct_gram(f, wspec, m)
     g2 = stnslct_gram(odd, wspec, m)
     assert abs(moyal(g1, g2)) <= 1e-10
+
+
+# chirped, shifted Gaussian signals f1, f2 and windows phi1, phi2, per grid:
+# synthesize("chirp", grid, **kw) keywords, with centers off the origin so
+# that <f1, f2> conj <phi1, phi2> is far from real: its conjugate misses it
+# by 0.49 in 1-D and 0.35 in 2-D
+_MOYAL_PAIRS = {
+    1: (Grid.centered(256, 0.1),
+        [dict(freq=0.8, rate=0.3, sigma=1.0, center=0.5), dict(freq=-0.5, rate=-0.2, sigma=1.2, center=0.9)],
+        [dict(freq=0.3, rate=0.4, sigma=1.3, center=0.2), dict(freq=-0.6, rate=0.0, sigma=1.1, center=-0.1)]),
+    2: (Grid.centered((32, 32), 0.35),
+        [dict(freq=(0.8, -0.3), rate=(0.3, 0.1), sigma=(1.0, 1.1), center=(0.5, 0.6)),
+         dict(freq=(-0.2, 0.4), rate=(-0.2, 0.2), sigma=(1.2, 0.9), center=(0.9, 0.3))],
+        [dict(freq=(0.3, 0.2), rate=(0.4, -0.1), sigma=(1.3, 1.4), center=(0.2, 0.1)),
+         dict(freq=(-0.3, 0.1), rate=(0.0, 0.2), sigma=(1.2, 1.3), center=(-0.1, -0.2))]),
+}
+_MOYAL_MATRICES = {
+    "fourier": lambda n: preset("fourier", n),
+    "frft-0.7": lambda n: preset("frft", n, alpha=0.7),
+    "frft-0.9": lambda n: preset("frft", n, alpha=0.9),
+    "fresnel-1.5": lambda n: preset("fresnel", n, b=1.5),
+    "rng-7": lambda n: random_free_matrix(np.random.default_rng(7), n),
+}
+
+
+@pytest.mark.parametrize("n, stride, matrix", [
+    *((1, s, kind) for s in (1, 2, 4) for kind in ("fourier", "frft-0.7", "fresnel-1.5", "rng-7")),
+    (2, 2, "frft-0.9"), (2, 2, "rng-7"),
+])
+def test_moyal_formula_for_general_pairs(n, stride, matrix):
+    """<V1, V2> = <f1, f2> conj <phi1, phi2>, Vi the gram of fi under the
+    window phii.  At stride s it holds while the stride-s shift sum of
+    phi1 conj phi2 is flat: here the windows are at least 1.1 wide against
+    shifts 0.4 (1-D, stride 4) and 0.7 (2-D, stride 2) apart."""
+    m = _MOYAL_MATRICES[matrix](n)
+    g, signals, windows = _MOYAL_PAIRS[n]
+    f1, f2 = (synthesize("chirp", g, **kw) for kw in signals)
+    phi1, phi2 = (synthesize("chirp", g, **kw) for kw in windows)
+    v1 = stnslct_gram(f1, WindowSpec(phi1, stride=stride), m)
+    v2 = stnslct_gram(f2, WindowSpec(phi2, stride=stride), m)
+    want = inner(f1, f2) * np.conj(inner(phi1, phi2))
+    assert abs(moyal(v1, v2) - want) <= 1e-14 * lp_norm(v1, 2.0) * lp_norm(v2, 2.0)
 
 
 def test_moyal_rejects_mismatched_lattices():
@@ -336,7 +381,7 @@ def _chunked_outputs():
 def test_one_constant_drives_every_chunked_pass(monkeypatch):
     counts, want = _chunked_outputs()
     assert counts == [128, 128]
-    # not below 2^14: see moyal's docstring
+    # 2^14, not below: whether a finer cut keeps every pass's bytes is untested
     monkeypatch.setattr(grids, "_CHUNK_POINTS", 2**14)
     counts, got = _chunked_outputs()
     assert counts == [256, 256]
@@ -383,19 +428,15 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
     assert stnslct_reconstruct(gram, wspec, m).values.tobytes() == want_rec.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("report", ["power-sum", "moyal"])
-def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(
-    report, workers, monkeypatch
-):
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"power-sum-{w}")
+def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(workers, monkeypatch):
     g = grid2()
     f = synthesize("noise", g, seed=9)
     m = random_free_matrix(np.random.default_rng(46), 2)
     gram = stnslct_gram(f, WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=2), m)
     assert gram.values.size // grids._CHUNK_POINTS == 128
     weight = sum(mm * mm for mm in gram.wgrid.point_meshes())
-    run = {"power-sum": lambda: grids._power_sum(gram, 4.0, weight), "moyal": lambda: moyal(gram, gram)}
-    want = np.array(run[report]()).tobytes()
+    want = np.array(grids._power_sum(gram, 4.0, weight)).tobytes()
     boom = RuntimeError("third block")
     calls = itertools.count(1)
     chunkwise = grids._chunkwise
@@ -412,11 +453,11 @@ def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(
     monkeypatch.setattr(grids, "_chunkwise", third_fails)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as err:
-        run[report]()
+        grids._power_sum(gram, 4.0, weight)
     assert err.value is boom
     assert threading.active_count() == threads
     monkeypatch.setattr(grids, "_chunkwise", chunkwise)
-    assert np.array(run[report]()).tobytes() == want
+    assert np.array(grids._power_sum(gram, 4.0, weight)).tobytes() == want
 
 
 def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch):
@@ -441,12 +482,27 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             assert np.array(grids._power_sum(gram, 3.0, weight)).tobytes() == np.array(want_sum).tobytes()
             assert np.array(moyal(gram, gram)).tobytes() == np.array(want_pairing).tobytes()
             # the same sums from the gram's chunks as they are made, the gram never held
-            needs = [(3.0, weight), ("conj", want_gram.reshape(-1))]
-            streamed = shorttime._gram_sums(f, wspec, m, needs)
-            assert np.array(streamed).tobytes() == np.array([want_sum, want_pairing]).tobytes()
+            streamed = shorttime._gram_sums(f, wspec, m, [(3.0, weight)])
+            assert np.array(streamed).tobytes() == np.array([want_sum]).tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
+
+
+def test_overflowing_inverses_raise_non_finite_output():
+    """Finite values of 1e307 overflow both inverses: NonFiniteOutput, the
+    class of a computed result, while the caller's own non-finite samples
+    stay a BadParam."""
+    g = grid1(64, 0.1)
+    m = preset("frft", 1, alpha=0.7)
+    wspec = WindowSpec(SampledSignal(g, np.ones(64)), stride=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteOutput):
+            nslct_inverse(Spectrum(m, np.full(64, 1e307, dtype=complex), g), m)
+        with pytest.raises(NonFiniteOutput):
+            stnslct_reconstruct(Gram(m, g, 1, np.full((64, 64), 1e307, dtype=complex)), wspec, m)
+    with pytest.raises(BadParam):
+        SampledSignal(g, np.full(64, np.inf, dtype=complex))
 
 
 def test_sparse_cover_raises_coverage_error():

@@ -151,11 +151,10 @@ def _sum_cases():
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, monkeypatch):
-    """Every sum that every family row needs, and a Moyal cross pairing, taken
-    in one pass from a gram's chunks as they are made and from the kept gram,
-    against the formulas over the whole table: cell * np.sum(powers * weight),
-    the powers |V|, sq = |V|**2, sq * |V| and sq * sq; np.max(|V|); and
-    np.sum(g1.values * np.conj(g2.values)) * cell for the cross pairing."""
+    """Every sum that every family row needs, taken in one pass from a gram's
+    chunks as they are made and from the kept gram, against the formulas over
+    the whole table: cell * np.sum(powers * weight), the powers |V|,
+    sq = |V|**2, sq * |V| and sq * sq; and np.max(|V|)."""
     monkeypatch.setattr(grids, "_WORKERS", workers)
     for f, wspec, m, chunks in _sum_cases():
         assert len(shorttime._gram_source(f, wspec, m)[1]) == chunks
@@ -164,22 +163,18 @@ def test_report_sums_keep_the_bytes_of_one_sum_over_the_whole_table(workers, mon
                  for need in build(f, wspec, m, **kwargs)[0]]
         assert {p for p, _ in needs} == {np.inf, 2.0, 3.0, 4.0}
         assert sum(w is not None for p, w in needs if p == 2.0) == 3
-        other = stnslct_gram(nslct.verify._odd_partner(f), wspec, m)
-        needs.append(("conj", other.values.reshape(-1)))
         streamed = shorttime._gram_sums(f, wspec, m, needs)
         assert _bytes(streamed) == _bytes(grids._table_sums(gram, needs))
         mags = np.abs(gram.values)
         sq = mags**2
         for (p, w), got in zip(needs, streamed):
-            if p == "conj":
-                want = complex(np.sum(gram.values * np.conj(w.reshape(gram.values.shape))) * gram.cell)
-            elif p == np.inf:
+            if p == np.inf:
                 want = float(np.max(mags))
             else:
                 powers = {1.0: mags, 2.0: sq, 3.0: sq * mags, 4.0: sq * sq}[p]
                 want = float(gram.cell * np.sum(powers if w is None else powers * w))
             assert _bytes(got) == _bytes(want), (chunks, p)
-        del gram, other, mags, sq
+        del gram, mags, sq
 
 
 def test_run_suite_sum_pass_calls_no_power(monkeypatch):
