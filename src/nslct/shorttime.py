@@ -12,7 +12,9 @@ short-time Fourier transform of the chirped signal,
 V(u, w) = post(w) STFT_phi(f chirp)(u, B^-1 w): the input chirp is taken
 once per gram, so each row is the FFT of (f chirp) conj(phi(x - u)) times
 the output factor, and the overlap-add takes the conjugate chirp once, on
-its sum.  The same chunk fill
+its sum.  The plan's chirp carries the sign (-1)^k that does the fftshift
+(see transform): gram rows take it from the chirped signal, and the
+conjugate chirp takes it off the overlap-add's sum.  The same chunk fill
 either builds the gram (stnslct_gram) or feeds each chunk, as it is made,
 to one pass that takes sums over the gram without holding it (_gram_sums,
 which `verify` uses).
@@ -103,17 +105,19 @@ def _gram_source(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):
     fill(chunk, out) writes the transforms of the chunk's shift rows into
     out, which holds the chunk's cells, and returns them; stnslct_gram fills
     its table with it, and _gram_sums takes sums from each chunk it fills.
-    Each row is the chirped signal times its conjugate shifted window, put
-    through the plan's FFT and output factor (forward_chirped).
+    Each row is the chirped signal times its conjugate shifted window,
+    written into out and put through the plan's FFT and output factor there
+    (forward_chirped), so a chunk makes no temporary.
     """
     windows, chunks = _shifted_windows(f.grid, wspec, np.conj(wspec.window.values))
     plan = _plan(f.grid, m)
     chirped = f.values * plan.chirp
 
     def fill(chunk, out):
-        rows = (chirped * windows[chunk]).reshape(-1, *f.grid.counts)
-        plan.forward_chirped(rows, out=out.reshape(rows.shape))
-        return out.reshape(windows[chunk].shape)
+        rows = out.reshape(windows[chunk].shape)
+        np.multiply(chirped, windows[chunk], out=rows)
+        plan.forward_chirped(rows.reshape(-1, *f.grid.counts))
+        return rows
 
     return windows.shape, chunks, fill
 

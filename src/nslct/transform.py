@@ -17,12 +17,15 @@ per matrix object and grid, shared by the forward and inverse transforms and
 the short-time gram and reconstruction, and kept in its grid's record, which
 also holds what every plan on the grid reads of the grid alone; it is freed
 when its matrix dies or its grid leaves the 8 most recently used grids.  A
-plan transforms one grid or a stack of them over the last n axes, and folds
-the fftshift into the output factor.
+plan transforms one grid or a stack of them over the last n axes.  Its input
+chirp carries the sign (-1)^(k_1 + ... + k_n) of sample index k, which does
+the fftshift: by the DFT's modulation property, on even counts
+fft(x (-1)^k) is fftshift(fft(x)) and ifft(y) (-1)^k is ifft(ifftshift(y)).
+The sign is an exact negation and numpy's FFT keeps both identities byte
+for byte, up to the sign of an exact zero, so no quadrant is ever moved.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from functools import lru_cache, partial
@@ -143,9 +146,9 @@ class _GridAxes:
 
     Per axis, as broadcastable N_j-long arrays (Grid.mesh layout): the
     sample axis x_j, the FFT-frequency axis omega_j (frequency_grid's) and
-    the carrier omega_j o_j; and the cell volume, the fftshift quadrant
-    pairs and the FFT pair.  Plans under every matrix on the grid share it,
-    so every array is read-only, and it holds no full-grid array.  plans
+    the carrier omega_j o_j; and the cell volume and the FFT pair.  Plans
+    under every matrix on the grid share it, so every array is read-only,
+    and it holds no full-grid array.  plans
     maps each matrix object to its plan on the grid and drops the plan with
     the matrix.  The key is the object, not same_matrix: a matrix within its
     tolerance would get a plan that is not bit for bit its own.
@@ -159,15 +162,6 @@ class _GridAxes:
         for arr in (*self.xs, *self.omegas, *self.carriers):
             arr.setflags(write=False)
         self.vol = grid.vol
-        # (src, dst) pairs of the 2^n quadrant moves of the fftshift: counts
-        # are even, so it swaps the halves of every axis and is its own
-        # inverse; the leading ellipsis indexes one grid or a stack of them
-        halves = [(slice(N // 2, None), slice(None, N // 2)) for N in grid.counts]
-        self.quadrants = [
-            ((..., *src), (..., *dst))
-            for src, dst in zip(itertools.product(*halves),
-                                itertools.product(*(h[::-1] for h in halves)))
-        ]
         # the FFT over the last n axes: in 1-D np.fft.fft gives fftn's bytes
         # without its argument handling (ifft2 drops out=)
         self.fft, self.ifft = (np.fft.fft, np.fft.ifft) if grid.n == 1 else (
@@ -187,6 +181,11 @@ class _FastPlan:
     under that pair, so both arrays are read-only; its callers apply the
     input chirp.  It holds no reference to its matrix, which keeps the
     matrix, and with it the plan, collectable.
+    chirp is the input chirp times (-1)^(k_1 + ... + k_n), which does the
+    fftshift of the FFT after it and, conjugated, the ifftshift of the
+    inverse FFT before it (see the module docstring).  The sign negates the
+    odd cells of each axis in place; a negation is exact, so each product
+    with chirp is the unsigned chirp's product negated on those cells.
     The factors are built, and applied, in place where that leaves the bytes
     unchanged: a kept plan adds two full-grid arrays to the caller's peak
     memory, and each temporary saved offsets part of that.
@@ -196,6 +195,9 @@ class _FastPlan:
         check_dimension(grid, m)
         axes = _grid_axes(grid)
         self.chirp = _chirp(axes.xs, m.b_inva)
+        for j in range(grid.n):
+            odd = self.chirp[(slice(None),) * j + (slice(1, None, 2),)]
+            np.negative(odd, out=odd)
         ws = _warp_meshes(m.b, axes.omegas)
         phase = 0.5 * _form(ws, m.db_inv, ws)
         del ws  # freed before the carrier omega . x_0 and the exp
@@ -206,38 +208,28 @@ class _FastPlan:
         self.unscale = 1.0 / (amp * amp)  # 1 / post = conj(post) * unscale
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)
-        self.quadrants, self.fft, self.ifft = axes.quadrants, axes.fft, axes.ifft
+        self.fft, self.ifft = axes.fft, axes.ifft
 
-    def forward_chirped(self, chirped: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Transform values already multiplied by the input chirp: the FFT,
-        taken in place over chirped, and the output factor.
-
-        The fftshift is folded into the output factor: each of the 2^n
-        quadrants of the FFT is multiplied by post straight into its shifted
-        place, in out if given (out must not be chirped).
-        """
+    def forward_chirped(self, chirped: np.ndarray) -> np.ndarray:
+        """Transform values already multiplied by the input chirp, in place:
+        the FFT over chirped, which the chirp's sign has fftshifted, times
+        the output factor; returns chirped."""
         self.fft(chirped, out=chirped)
-        if out is None:
-            out = np.empty_like(chirped)
-        for src, dst in self.quadrants:
-            np.multiply(chirped[src], self.post[dst], out=out[dst])
-        return out
+        return np.multiply(chirped, self.post, out=chirped)
 
     def inverse_chirped(self, values: np.ndarray) -> np.ndarray:
-        """Undo forward_chirped: the output factor taken off, with the
-        ifftshift folded in the same way, and the inverse FFT, into a new
-        array.
+        """Undo forward_chirped up to the input chirp: the output factor
+        taken off and the inverse FFT, into a new array whose ifftshift the
+        conjugate chirp's sign does.
 
         post has modulus amp everywhere, so 1 / post is conj(post) * unscale
         (unscale = 1 / amp^2); that one-grid factor is built per call, not
-        kept, and each quadrant is the product values * unpost, a multiply
-        where a complex division costs about three times as much.
+        kept, and the product values * unpost is a multiply where a complex
+        division costs about three times as much.
         """
         unpost = np.conj(self.post)
         unpost *= self.unscale
-        out = np.empty(values.shape, dtype=np.complex128)
-        for src, dst in self.quadrants:
-            np.multiply(values[dst], unpost[dst], out=out[src])
+        out = np.multiply(values, unpost)
         self.ifft(out, out=out)
         return out
 

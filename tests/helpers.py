@@ -17,6 +17,12 @@ def grid2(n_samples: int = 64, spacing: float = 0.35) -> Grid:
     return Grid.centered((n_samples, n_samples), spacing)
 
 
+def shift_sign(counts) -> np.ndarray:
+    """(-1)^(k_1 + ... + k_n) over the sample indices of a grid of counts:
+    the sign that a plan's input chirp carries (it does the fftshift)."""
+    return (-1.0) ** sum(np.ix_(*(np.arange(N) for N in counts)))
+
+
 def gaussian_1d(grid: Grid, sigma: float = 1.0, shift: float = 0.0) -> SampledSignal:
     x = grid.axis(0)
     vals = np.exp(-0.5 * ((x - shift) / sigma) ** 2).astype(complex)

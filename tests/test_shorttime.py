@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from nslct import grids, shorttime
 from nslct.symplectic import frft
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_stft
+from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign
 
 TWO_PI = 2.0 * np.pi
 
@@ -301,12 +302,14 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
     Each row is the FFT of the once-chirped signal f * chirp times its
     conjugate shifted window; the overlap-add takes the output factor off
     each row as a product with its reciprocal, and its sum takes the
-    conjugate chirp once, before the shift lattice's cell."""
+    conjugate chirp once, before the shift lattice's cell.  The chirp is the
+    plan's without its sign."""
     g, s = f.grid, wspec.stride
     plan = _FastPlan(g, m)
     ucounts = tuple(N // s for N in g.counts)
     windows = [_rolled_window(wspec, idx) for idx in np.ndindex(ucounts)]
-    chirped = f.values * plan.chirp
+    chirp = plan.chirp * shift_sign(g.counts)
+    chirped = f.values * chirp
     rows = [np.fft.fftshift(np.fft.fftn(chirped * np.conj(w))) * plan.post for w in windows]
     acc = np.zeros(g.counts, dtype=complex)
     partition = np.zeros(g.counts)
@@ -316,7 +319,7 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
     for row, w in zip(rows, windows):
         acc += np.fft.ifftn(np.fft.ifftshift(row * unpost)) * w
         partition += np.abs(w) ** 2
-    acc *= np.conj(plan.chirp)
+    acc *= np.conj(chirp)
     ucell = float(np.prod([s * d for d in g.spacing]))  # the shift lattice's cell
     acc *= ucell
     partition *= ucell
@@ -487,6 +490,46 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gram_fill_makes_no_chunk_temporary(workers, monkeypatch):
+    """Each gram chunk is written straight into the gram and transformed
+    there: above the gram's own bytes, a 2048-point stride-1 gram (128
+    chunks of 512 KB) traces a peak under 1 MB."""
+    g = grid1(2048, 0.05)
+    f = synthesize("noise", g, seed=3)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=1)
+    m = random_free_matrix(np.random.default_rng(7), 1)
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    stnslct_gram(f, wspec, m)  # builds the plan, which the grid's record keeps
+    tracemalloc.start()
+    try:
+        gram = stnslct_gram(f, wspec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - gram.values.nbytes < 1_000_000, peak - gram.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_all_zero_inputs_give_all_zero_outputs(n):
+    """The plan's sign can flip the sign of an exact zero, never its value:
+    the transform, its inverse, the gram and its reconstruction of all-zero
+    input are all zero."""
+    g = grid1() if n == 1 else grid2(32, 0.5)
+    m = random_free_matrix(np.random.default_rng(53), n)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.5), stride=2)
+    zero = SampledSignal(g, np.zeros(g.counts, dtype=complex))
+    outs = [
+        nslct_fast(zero, m),
+        nslct_inverse(Spectrum(m, np.zeros(g.counts, dtype=complex), g), m),
+        stnslct_gram(zero, wspec, m),
+        stnslct_reconstruct(Gram(m, g, 2, np.zeros(tuple(N // 2 for N in g.counts) + g.counts,
+                                                   dtype=complex)), wspec, m),
+    ]
+    for k, out in enumerate(outs):
+        assert np.all(out.values == 0), k
 
 
 def test_overflowing_inverses_raise_non_finite_output():

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,7 +34,7 @@ from nslct import (
 from nslct import grids, transform
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err
+from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err, shift_sign
 
 
 def lattice_points(spec):
@@ -187,14 +188,16 @@ def test_round_trip_identity():
 def test_inverse_multiplies_by_the_reciprocal_output_factor(n):
     """nslct_inverse is ifftn(ifftshift(V * unpost)) * conj(chirp) byte for
     byte, with unpost = conj(post) * unscale, the reciprocal of the output
-    factor, named once (see _FastPlan.inverse_chirped)."""
+    factor, named once (see _FastPlan.inverse_chirped), and chirp the input
+    chirp without the plan's sign."""
     g = grid1() if n == 1 else grid2()
     f = synthesize("noise", g, seed=23)
     m = random_free_matrix(np.random.default_rng(24), n)
     spec = nslct_fast(f, m)
     plan = _plan(g, m)
     unpost = np.conj(plan.post) * plan.unscale
-    want = np.fft.ifftn(np.fft.ifftshift(spec.values * unpost)) * np.conj(plan.chirp)
+    chirp = plan.chirp * shift_sign(g.counts)
+    want = np.fft.ifftn(np.fft.ifftshift(spec.values * unpost)) * np.conj(chirp)
     assert nslct_inverse(spec, m).values.tobytes() == want.tobytes()
 
 
@@ -233,7 +236,8 @@ def test_inverse_matrix_transform_undoes_forward_pointwise():
 def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
     """Plan factors and a 2-D chirp signal, read off broadcastable axes, equal
     the same expressions on dense np.meshgrid arrays byte for byte, whether
-    the plan reads its grid's record warm or builds it."""
+    the plan reads its grid's record warm or builds it; the plan's chirp is
+    compared without its sign."""
     def dense(grid):
         return np.meshgrid(*(grid.axis(j) for j in range(grid.n)), indexing="ij")
 
@@ -262,7 +266,8 @@ def test_plan_and_chirp_signal_keep_the_bytes_of_dense_coordinates():
             carrier = sum(omega[j] * g.origin[j] for j in range(n))
             amp = g.vol * (2.0 * math.pi) ** (-n / 2.0) / math.sqrt(abs(m.det_b))
             plan = _FastPlan(g, m)
-            assert plan.chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
+            chirp = plan.chirp * shift_sign(g.counts)
+            assert chirp.tobytes() == np.exp(1j * quad(x, m.b_inva)).tobytes()
             assert plan.post.tobytes() == (np.exp(1j * (quad(w, m.db_inv) - carrier)) * amp).tobytes()
         transform._grid_axes.cache_clear()
         cold = _FastPlan(g, m)
@@ -335,7 +340,8 @@ def test_grid_record_is_shared_read_only_small_and_bounded(monkeypatch):
     warm = _FastPlan(g, random_free_matrix(rng, 2))
     assert calls == {"mesh": 0, "frequency_grid": 0}
     axes = transform._grid_axes(g)
-    assert warm.quadrants is cold.quadrants is axes.quadrants  # one record per grid
+    # one record per grid: in 2-D the FFT pair is the record's own partials
+    assert warm.fft is cold.fft is axes.fft and warm.ifft is cold.ifft is axes.ifft
     for got, want in ((axes.xs, g.mesh()), (axes.omegas, frequency_grid(g).mesh())):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     for arr in (*axes.xs, *axes.omegas, *axes.carriers):
@@ -406,6 +412,51 @@ def test_plans_are_freed_with_their_grid_record_and_rebuilt_to_the_same_bytes():
     assert [p() is not None for p in plans] == [False] * 2 + [True] * kept
     again = _plan(grids[0], m)
     assert again.chirp.tobytes() == chirp and again.post.tobytes() == post
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(2**k,) for k in range(3, 17)] + [(8, 8), (16, 64), (64, 16), (64, 64), (128, 128), (512, 512)],
+    ids=lambda counts: "x".join(map(str, counts)),
+)
+def test_numpy_fft_of_the_signed_input_is_the_fftshift_byte_for_byte(counts):
+    """The identity the plan's signed chirp rests on, for the FFT pair a plan
+    calls in place: fft(x (-1)^k) is fftshift(fft(x)) and ifft(y) (-1)^k is
+    ifft(ifftshift(y)), byte for byte, on one grid and on a stack of two, for
+    noise and for noise with exactly-zero cells (a boxcar)."""
+    last = tuple(range(-len(counts), 0))
+    axes = transform._grid_axes(Grid.centered(counts, 1.0))
+    sign = shift_sign(counts)
+    rng = np.random.default_rng(sum(counts))
+    box = np.zeros(counts)
+    box[tuple(slice(N // 4, 3 * N // 4) for N in counts)] = 1.0
+    for lead in ((), (2,)):
+        noise = rng.standard_normal(lead + counts) + 1j * rng.standard_normal(lead + counts)
+        for x, kind in ((noise, "noise"), (noise * box, "boxcar")):
+            got, want = x * sign, x.copy()
+            axes.fft(got, out=got)
+            axes.fft(want, out=want)
+            assert got.tobytes() == np.fft.fftshift(want, axes=last).tobytes(), ("fft", lead, kind)
+            got, want = x.copy(), np.fft.ifftshift(x, axes=last)
+            axes.ifft(got, out=got)
+            axes.ifft(want, out=want)
+            assert (got * sign).tobytes() == want.tobytes(), ("ifft", lead, kind)
+
+
+def test_fast_transform_with_a_kept_plan_allocates_about_one_grid_array():
+    """With its plan kept, nslct_fast allocates the chirped values and
+    transforms them in place into the spectrum (traced peak, 512^2)."""
+    g = Grid.centered((512, 512), 0.05)
+    f = synthesize("noise", g, seed=51)
+    m = random_free_matrix(np.random.default_rng(52), 2)
+    nslct_fast(f, m)  # builds the plan, which the grid's record keeps
+    tracemalloc.start()
+    try:
+        nslct_fast(f, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f.values.nbytes, peak
 
 
 def test_plan_arrays_are_read_only():
