@@ -322,6 +322,13 @@ _CHUNK_POINTS = 2**15
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _threads(chunks: list) -> int:
+    """The threads a chunked pass runs on: one per chunk, up to _WORKERS,
+    read when called (so a caller sizing per-thread buffers with it sees
+    the count _chunkwise will use)."""
+    return min(_WORKERS, len(chunks))
+
+
 def _chunks(lead: tuple[int, ...], row: int) -> list[tuple]:
     """Index tuples that cut a table's leading axes lead, whose entries hold
     row cells each, into runs of max(1, _CHUNK_POINTS // row) entries in
@@ -342,17 +349,20 @@ def _chunks(lead: tuple[int, ...], row: int) -> list[tuple]:
 def _chunkwise(chunks: list, work, take) -> None:
     """take(chunk, work(chunk, slot)) for every chunk, in order, with work run on threads.
 
-    work runs on min(_WORKERS, len(chunks)) threads started here, slots 0,
-    1, ..., each held to its own CPU of the process; with one thread, it
-    runs in a plain loop on the calling thread as slot 0.  (Left to the
-    scheduler, the threads of a call often shared one CPU of a 2-CPU Linux
-    host and ran no faster than one.)  The calling thread hands out chunk
-    numbers on a queue, a thread count + 1 ahead of the chunk it passes to
-    take next, so at most that many results are alive at once, and passes
-    the results to take in chunk order.  The first exception that a thread
-    reports is raised here, and all threads end before this returns.
+    work runs on _threads(chunks) threads started here, slots 0, 1, ...,
+    each held to its own CPU of the process; with one thread, it runs in a
+    plain loop on the calling thread as slot 0.  (Left to the scheduler,
+    the threads of a call often shared one CPU of a 2-CPU Linux host and
+    ran no faster than one.)  The calling thread hands out chunk numbers on
+    a queue, a thread count + 1 ahead of the chunk it passes to take next,
+    and passes the results to take in chunk order: chunk k + ahead is
+    handed out only after take has returned for chunk k, so at most ahead
+    = _threads(chunks) + 1 results are alive at once, and work may write
+    chunk k's result into buffer k % ahead of a ring of that many.  The
+    first exception that a thread reports is raised here, and all threads
+    end before this returns.
     """
-    workers = min(_WORKERS, len(chunks))
+    workers = _threads(chunks)
     if workers == 1:
         for chunk in chunks:
             take(chunk, work(chunk, 0))
@@ -424,7 +434,7 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
             for _, w in keys]
     squared = any(p in (2.0, 3.0, 4.0) for p, _ in keys)
     scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
-               for _ in range(min(_WORKERS, len(chunks)))]
+               for _ in range(_threads(chunks))]
 
     def chunk_sums(item, slot):
         k, chunk = item

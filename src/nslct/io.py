@@ -221,9 +221,9 @@ def _read_rows(lines, expected: int, columns: int, path_kind: str) -> np.ndarray
 
 
 def write_signal(path: str, sig: SampledSignal):
-    rows = [f"kind=signal; {_grid_header(sig.grid)}"]
-    rows.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in _finite(sig.values, "signal").ravel())
-    _atomic_write(path, "\n".join(rows) + "\n")
+    # tolist() gives Python floats, whose %r is _fmt's repr, in one format call
+    parts = _finite(sig.values, "signal").reshape(-1).view(np.float64).tolist()
+    _atomic_write(path, f"kind=signal; {_grid_header(sig.grid)}\n", "%r,%r\n" * sig.grid.size % tuple(parts))
 
 
 def read_signal(path: str) -> SampledSignal:

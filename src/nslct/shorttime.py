@@ -22,20 +22,25 @@ which `verify` uses).
 Chunks run on the threads of grids._chunkwise, and the bytes do not depend
 on the thread count: each chunk's arithmetic is fixed, and the overlap-add
 adds each chunk's rows on the calling thread in one reduce seeded with the
-running sum, which adds them one by one in shift order.
+running sum, which adds them one by one in shift order.  No chunk of either
+allocates: a gram chunk is made in the gram (or the sum pass's scratch), and
+an overlap-add chunk in a ring of thread count + 1 buffers, one per result
+_chunkwise keeps alive.  The overlap-add's window partition is taken once
+per WindowSpec (WindowSpec.partition).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    Grid, Gram, SampledSignal, _chunks, _chunkwise, _result_signal, _sums, check_gram, gram_cell,
-    inner, output_lattice, shift_lattice,
+    Grid, Gram, SampledSignal, _chunks, _chunkwise, _result_signal, _sums, _threads, check_gram,
+    gram_cell, inner, output_lattice, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
 from .transform import _plan
@@ -43,7 +48,8 @@ from .transform import _plan
 
 @dataclass(frozen=True, eq=False)
 class WindowSpec:
-    """A window signal plus the shift stride; caches the squared norm."""
+    """A window signal plus the shift stride; caches the squared norm, and
+    the window partition on first use."""
 
     window: SampledSignal
     stride: int = 1
@@ -61,6 +67,19 @@ class WindowSpec:
         if n2 <= 0.0:
             raise ZeroSignal("window has zero energy")
         object.__setattr__(self, "norm2", n2)
+
+    @cached_property
+    def partition(self) -> np.ndarray:
+        """sum_u |phi(x - u)|^2 * ucell over the window's grid, the shifts u
+        on the stride's shift lattice (cell ucell): one reduce over the
+        shifted view of |phi|^2 (_shifted_windows), read-only, taken once
+        per WindowSpec and shared by every reconstruction with it."""
+        grid = self.window.grid
+        squares, _ = _shifted_windows(grid, self, np.abs(self.window.values) ** 2)
+        partition = np.add.reduce(squares, axis=tuple(range(grid.n)))
+        partition *= shift_lattice(grid, self.stride).vol
+        partition.setflags(write=False)
+        return partition
 
 
 def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list:
@@ -148,16 +167,20 @@ def stnslct_reconstruct(
     """Overlap-add synthesis back to the signal grid.
 
     Each row is inverted exactly up to the input chirp (inverse_chirped) and
-    multiplied by its shifted window.  Each chunk's rows are added to the
-    running sum in one reduce over the chunk, seeded with that sum (rows[0]
-    += sum, then np.add.reduce along the rows into it), which adds the rows
-    one by one in shift order, so the bytes are a row loop's.  The shift sum
-    is multiplied by the conjugate chirp once and divided by the window
-    partition sum_u |phi(x - u)|^2 * ucell evaluated pointwise ("pointwise",
-    the default, which makes the discrete round trip exact in principle) or
-    by the constant window energy ("constant", the continuum normalization).
-    The partition does not depend on the gram: it is one reduce over the
-    shifted view of |phi|^2, taken before any row, so a coverage gap raises
+    multiplied by its shifted window.  Chunk k of the rows is inverted into
+    buffer k % ahead of a ring of ahead = _threads(chunks) + 1 chunk-sized
+    buffers, _chunkwise's look-ahead, so no two live chunks share one and no
+    chunk allocates; 1 / post (the plan's unpost) is built once per call.
+    Each chunk's rows are added to the running sum in one reduce over the
+    chunk, seeded with that sum (rows[0] += sum, then np.add.reduce along
+    the rows into it), which adds the rows one by one in shift order, so the
+    bytes are a row loop's.  The shift sum is multiplied by the conjugate
+    chirp once and divided by the window partition wspec.partition,
+    sum_u |phi(x - u)|^2 * ucell evaluated pointwise ("pointwise", the
+    default, which makes the discrete round trip exact in principle) or by
+    the constant window energy ("constant", the continuum normalization).
+    The partition does not depend on the gram: it is taken once per
+    WindowSpec and read before any row, so a coverage gap raises
     CoverageError, either way, before any row is inverted.  A result that
     overflows raises NonFiniteOutput.
     """
@@ -165,27 +188,29 @@ def stnslct_reconstruct(
         raise BadParam(f"unknown denominator mode {denominator!r}")
     grid = wspec.window.grid
     check_gram(g, grid, m, wspec.stride)
-    phi = wspec.window.values
-    windows, squares, chunks = _shifted_windows(grid, wspec, phi, np.abs(phi) ** 2)
-    partition = np.add.reduce(squares, axis=tuple(range(grid.n)))
-    partition *= g.ugrid.vol
-    if float(np.min(partition)) < 1e-9:
+    windows, chunks = _shifted_windows(grid, wspec, wspec.window.values)
+    if float(np.min(wspec.partition)) < 1e-9:
         raise CoverageError("window shifts leave the grid uncovered")
     plan = _plan(grid, m)
+    unpost = plan.unpost()
+    ahead = _threads(chunks) + 1
+    ring = [np.empty_like(g.values[chunks[0]]).reshape(-1, *grid.counts) for _ in range(ahead)]
     acc = np.zeros(grid.counts, dtype=np.complex128)
 
-    def weighted(chunk, slot):
-        rows = plan.inverse_chirped(g.values[chunk].reshape(-1, *grid.counts))
+    def weighted(item, slot):
+        k, chunk = item
+        rows = ring[k % ahead]
+        plan.inverse_chirped(g.values[chunk].reshape(rows.shape), unpost, rows)
         return np.multiply(rows, windows[chunk].reshape(rows.shape), out=rows)
 
-    def add(chunk, rows):
+    def add(item, rows):
         rows[0] += acc
         np.add.reduce(rows, axis=0, out=acc)
 
-    _chunkwise(chunks, weighted, add)
+    _chunkwise(list(enumerate(chunks)), weighted, add)
     acc *= np.conj(plan.chirp)
     acc *= g.ugrid.vol
-    den = partition if denominator == "pointwise" else wspec.norm2
+    den = wspec.partition if denominator == "pointwise" else wspec.norm2
     return _result_signal(grid, acc / den)
 
 

@@ -2,6 +2,8 @@
 of the package internals (plain loops over the defining sums)."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from nslct import Grid, SampledSignal
@@ -21,6 +23,18 @@ def shift_sign(counts) -> np.ndarray:
     """(-1)^(k_1 + ... + k_n) over the sample indices of a grid of counts:
     the sign that a plan's input chirp carries (it does the fftshift)."""
     return (-1.0) ** sum(np.ix_(*(np.arange(N) for N in counts)))
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory tracemalloc traced while it ran, in
+    bytes: (result, peak)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def gaussian_1d(grid: Grid, sigma: float = 1.0, shift: float = 0.0) -> SampledSignal:

@@ -372,6 +372,18 @@ def test_signal_round_trip_keeps_extreme_doubles(tmp_path):
     assert read_bytes(p1) == read_bytes(p2)
 
 
+def test_signal_rows_are_the_repr_of_each_part(tmp_path):
+    """Each row of a written signal is f"{x.real!r},{x.imag!r}" of its
+    sample as a Python complex, the shortest text that reads back to the
+    same double, extremes and signed zeros included."""
+    parts = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+    f = SampledSignal(grid1(8, 0.5), nio._complex_col(np.array(parts), np.array(parts[::-1])))
+    nio.write_signal(tmp_path / "s.txt", f)
+    rows = (tmp_path / "s.txt").read_text().split("\n")
+    assert rows[1:] == [f"{x.real!r},{x.imag!r}" for x in f.values.tolist()] + [""]
+    assert rows[1] == "-0.0,0.0" and rows[7] == "-1.7976931348623157e+308,5e-324"
+
+
 def test_report_schema(tmp_path):
     from nslct import run_suite
 

@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from nslct import grids, shorttime
 from nslct.symplectic import frft
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign
+from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign, traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -312,19 +311,30 @@ def _row_loop_gram_and_reconstructions(f, wspec, m):
     chirped = f.values * chirp
     rows = [np.fft.fftshift(np.fft.fftn(chirped * np.conj(w))) * plan.post for w in windows]
     acc = np.zeros(g.counts, dtype=complex)
-    partition = np.zeros(g.counts)
     # 1 / post, named: written inline, numpy's temporary elision swaps the
     # row product's operands from 2^14 cells up, which moves a last bit
     unpost = np.conj(plan.post) * plan.unscale
     for row, w in zip(rows, windows):
         acc += np.fft.ifftn(np.fft.ifftshift(row * unpost)) * w
-        partition += np.abs(w) ** 2
     acc *= np.conj(chirp)
-    ucell = float(np.prod([s * d for d in g.spacing]))  # the shift lattice's cell
-    acc *= ucell
-    partition *= ucell
+    acc *= _shift_cell(wspec)
     gram = np.stack(rows).reshape(ucounts + g.counts)
-    return gram, acc / partition, acc / wspec.norm2
+    return gram, acc / _row_loop_partition(wspec), acc / wspec.norm2
+
+
+def _shift_cell(wspec):
+    """The cell of the shift lattice, stride times each sample step."""
+    return float(np.prod([wspec.stride * d for d in wspec.window.grid.spacing]))
+
+
+def _row_loop_partition(wspec):
+    """sum_u |phi(x - u)|^2 * ucell, one np.roll copy of the window per shift."""
+    g, s = wspec.window.grid, wspec.stride
+    partition = np.zeros(g.counts)
+    for idx in np.ndindex(tuple(N // s for N in g.counts)):
+        partition += np.abs(_rolled_window(wspec, idx)) ** 2
+    partition *= _shift_cell(wspec)
+    return partition
 
 
 @pytest.mark.parametrize(
@@ -503,13 +513,71 @@ def test_gram_fill_makes_no_chunk_temporary(workers, monkeypatch):
     m = random_free_matrix(np.random.default_rng(7), 1)
     monkeypatch.setattr(grids, "_WORKERS", workers)
     stnslct_gram(f, wspec, m)  # builds the plan, which the grid's record keeps
-    tracemalloc.start()
-    try:
-        gram = stnslct_gram(f, wspec, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    gram, peak = traced_peak(lambda: stnslct_gram(f, wspec, m))
     assert peak - gram.values.nbytes < 1_000_000, peak - gram.values.nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overlap_add_inverts_its_chunks_into_a_ring_and_makes_no_chunk_temporary(workers, monkeypatch):
+    """Chunk k of the overlap-add is inverted into buffer k % (workers + 1)
+    of one ring, and above its output a 2048-point stride-1 reconstruction
+    (128 chunks of 512 KB) traces a peak under the ring plus 1 MB."""
+    g = grid1(2048, 0.05)
+    f = synthesize("noise", g, seed=3)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=1)
+    m = random_free_matrix(np.random.default_rng(7), 1)
+    gram = stnslct_gram(f, wspec, m)
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    chunk_bytes = 16 * grids._CHUNK_POINTS
+    start = gram.values.ctypes.data
+    buffers = {}
+    run = _FastPlan.inverse_chirped
+
+    def spy(self, values, unpost, out):
+        buffers[(values.ctypes.data - start) // chunk_bytes] = out.ctypes.data
+        return run(self, values, unpost, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_FastPlan, "inverse_chirped", spy)
+        want = stnslct_reconstruct(gram, wspec, m)  # also builds the plan and the partition
+    ahead = workers + 1
+    assert sorted(buffers) == list(range(128))
+    assert len(set(buffers.values())) == ahead
+    assert all(buffers[k] == buffers[k % ahead] for k in buffers)
+    rec, peak = traced_peak(lambda: stnslct_reconstruct(gram, wspec, m))
+    assert rec.values.tobytes() == want.values.tobytes()
+    assert peak - rec.values.nbytes < ahead * chunk_bytes + 1_000_000, peak - rec.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_window_partition_is_the_row_loop_s_read_only_and_kept(n):
+    g = grid1() if n == 1 else grid2(32, 0.5)
+    wspec = WindowSpec(synthesize("gaussian", g, sigma=1.5), stride=2)
+    partition = wspec.partition
+    assert partition.tobytes() == _row_loop_partition(wspec).tobytes()
+    assert wspec.partition is partition
+    with pytest.raises(ValueError):
+        partition[0] = 1.0
+
+
+def test_window_partition_is_taken_once_per_window_spec(monkeypatch):
+    """A second reconstruction with one WindowSpec shifts only the window
+    itself: |phi|^2 (real) is tiled and reduced only for the first."""
+    g, f, wspec = matched_setup(stride=2)
+    m = random_free_matrix(np.random.default_rng(47), 1)
+    gram = stnslct_gram(f, wspec, m)
+    tables = []
+    shifted = shorttime._shifted_windows
+    monkeypatch.setattr(shorttime, "_shifted_windows",
+                        lambda grid, ws, *ts: tables.append([t.dtype.kind for t in ts]) or shifted(grid, ws, *ts))
+    first = stnslct_reconstruct(gram, wspec, m)
+    assert sorted(tables) == [["c"], ["f"]]
+    tables.clear()
+    second = stnslct_reconstruct(gram, wspec, m, denominator="constant")
+    third = stnslct_reconstruct(gram, wspec, m)
+    assert tables == [["c"], ["c"]]
+    assert third.values.tobytes() == first.values.tobytes()
+    assert second.values.tobytes() != first.values.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,6 +1,5 @@
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -34,7 +33,7 @@ from nslct import (
 from nslct import grids, transform
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err, shift_sign
+from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err, shift_sign, traced_peak
 
 
 def lattice_points(spec):
@@ -450,12 +449,7 @@ def test_fast_transform_with_a_kept_plan_allocates_about_one_grid_array():
     f = synthesize("noise", g, seed=51)
     m = random_free_matrix(np.random.default_rng(52), 2)
     nslct_fast(f, m)  # builds the plan, which the grid's record keeps
-    tracemalloc.start()
-    try:
-        nslct_fast(f, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: nslct_fast(f, m))
     assert peak <= 1.25 * f.values.nbytes, peak
 
 
