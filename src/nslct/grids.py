@@ -16,10 +16,11 @@ Every chunked table, kept or made chunk by chunk, is cut by one rule
 (_chunks); the short-time gram's sums can also be taken from its chunks as
 they are made, so that the gram itself is never held (shorttime).  Chunks
 run on one thread per CPU the process may use (_chunkwise): the calling
-thread hands out chunk numbers on a queue, a thread count + 1 ahead of the
-chunk it takes next, each thread works its chunks in its own slot (the sum
-pass keeps one scratch set per slot), and the first exception a thread
-reports is raised on the calling thread.
+thread lends the call to kept slot threads, each held to its own CPU and
+idle between calls, and hands out chunk numbers on a queue, _ahead(chunks)
+ahead of the chunk it takes next; each thread works its chunks in its own
+slot (the sum pass keeps one scratch set per slot), and the first
+exception a thread reports is raised on the calling thread.
 """
 from __future__ import annotations
 
@@ -346,48 +347,90 @@ def _chunks(lead: tuple[int, ...], row: int) -> list[tuple]:
             for j in range(0, lead[k], run)]
 
 
+# The kept slot threads: entry i is the inbox of slot i's thread, which is
+# started on first use and then waits on its inbox between calls (_slot).
+_slots: list = []
+_starting = threading.Lock()
+_in_slot = threading.local()  # .slot is True on a slot thread
+
+
+def _forget_slots():
+    """In a forked child: the parent's slot threads were not copied, so the
+    child starts its own on first use."""
+    global _starting
+    _slots.clear()
+    _starting = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_slots)
+
+
+def _slot(slot: int, inbox, cpus: list):
+    """A slot thread: held once to its own CPU, then runs each call lent to
+    it, job(slot), one at a time, for the life of the process."""
+    _in_slot.slot = True
+    try:
+        if cpus:
+            os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
+    except OSError:  # the CPU left the process's set meanwhile: run unpinned
+        pass
+    while True:
+        inbox.get()(slot)
+
+
+def _ahead(chunks: list) -> int:
+    """The most chunk results _chunkwise keeps alive at once: 1 in its plain
+    loop (one thread, or a call from a slot thread), else the thread count
+    + 1, the chunks it hands out ahead of the one it takes next."""
+    workers = _threads(chunks)
+    return 1 if workers == 1 or getattr(_in_slot, "slot", False) else workers + 1
+
+
 def _chunkwise(chunks: list, work, take) -> None:
     """take(chunk, work(chunk, slot)) for every chunk, in order, with work run on threads.
 
-    work runs on _threads(chunks) threads started here, slots 0, 1, ...,
-    each held to its own CPU of the process; with one thread, it runs in a
-    plain loop on the calling thread as slot 0.  (Left to the scheduler,
-    the threads of a call often shared one CPU of a 2-CPU Linux host and
-    ran no faster than one.)  The calling thread hands out chunk numbers on
-    a queue, a thread count + 1 ahead of the chunk it passes to take next,
-    and passes the results to take in chunk order: chunk k + ahead is
-    handed out only after take has returned for chunk k, so at most ahead
-    = _threads(chunks) + 1 results are alive at once, and work may write
-    chunk k's result into buffer k % ahead of a ring of that many.  The
-    first exception that a thread reports is raised here, and all threads
-    end before this returns.
+    work runs on slot threads 0, 1, ..., _threads(chunks) - 1, kept across
+    calls: each is started here on first use, as a daemon, holds itself to
+    its own CPU of the process once, and waits idle between calls.  (Left
+    to the scheduler, threads often shared one CPU of a 2-CPU Linux host
+    and ran no faster than one; started per call, their start, pin and
+    join cost a 512^2 transform about 0.5 ms.)  With one thread, or when
+    called from a slot thread, work runs in a plain loop on the calling
+    thread as slot 0.  The calling thread hands out chunk numbers on a
+    queue, _ahead(chunks) ahead of the chunk it passes to take next, and
+    passes the results to take in chunk order: chunk k + ahead is handed
+    out only after take has returned for chunk k, so at most ahead results
+    are alive at once, and work may write chunk k's result into buffer
+    k % ahead of a ring of that many.  The first exception that a thread
+    reports is raised here, and every slot lent to the call has left it,
+    its last chunk finished, before this returns.
     """
-    workers = _threads(chunks)
-    if workers == 1:
+    ahead = _ahead(chunks)
+    if ahead == 1:
         for chunk in chunks:
             take(chunk, work(chunk, 0))
         return
     import queue  # here, so that the plain loop and `import nslct.cli` never load it
 
+    workers = ahead - 1
+    with _starting:
+        while len(_slots) < workers:
+            cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+            _slots.append(queue.SimpleQueue())
+            threading.Thread(target=_slot, args=(len(_slots) - 1, _slots[-1], cpus), daemon=True).start()
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
     def run(slot):
-        try:
-            if cpus:
-                os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
-        except OSError:  # the CPU left the process's set meanwhile: run unpinned
-            pass
         while (k := todo.get()) is not None:
             try:
                 done.put((k, work(chunks[k], slot), None))
             except BaseException as exc:  # handed to the calling thread, which raises it
                 done.put((k, None, exc))
+        done.put((None, None, None))  # this slot has left the call
 
-    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
-    for t in threads:
-        t.start()
-    ahead = workers + 1
+    for inbox in _slots[:workers]:
+        inbox.put(run)
     try:
         for k in range(min(ahead, len(chunks))):
             todo.put(k)
@@ -402,10 +445,11 @@ def _chunkwise(chunks: list, work, take) -> None:
             if k + ahead < len(chunks):  # the chunk taken is freed first
                 todo.put(k + ahead)
     finally:
-        for _ in threads:
+        for _ in range(workers):
             todo.put(None)
-        for t in threads:
-            t.join()
+        left = 0
+        while left < workers:
+            left += done.get()[0] is None
 
 
 def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> list:

@@ -24,8 +24,8 @@ on the thread count: each chunk's arithmetic is fixed, and the overlap-add
 adds each chunk's rows on the calling thread in one reduce seeded with the
 running sum, which adds them one by one in shift order.  No chunk of either
 allocates: a gram chunk is made in the gram (or the sum pass's scratch), and
-an overlap-add chunk in a ring of thread count + 1 buffers, one per result
-_chunkwise keeps alive.  The overlap-add's window partition is taken once
+an overlap-add chunk in a ring of one buffer per result _chunkwise keeps
+alive (grids._ahead).  The overlap-add's window partition is taken once
 per WindowSpec (WindowSpec.partition).
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    Grid, Gram, SampledSignal, _chunks, _chunkwise, _result_signal, _sums, _threads, check_gram,
+    Grid, Gram, SampledSignal, _ahead, _chunks, _chunkwise, _result_signal, _sums, check_gram,
     gram_cell, inner, output_lattice, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
@@ -168,9 +168,9 @@ def stnslct_reconstruct(
 
     Each row is inverted exactly up to the input chirp (inverse_chirped) and
     multiplied by its shifted window.  Chunk k of the rows is inverted into
-    buffer k % ahead of a ring of ahead = _threads(chunks) + 1 chunk-sized
-    buffers, _chunkwise's look-ahead, so no two live chunks share one and no
-    chunk allocates; 1 / post (the plan's unpost) is built once per call.
+    buffer k % ahead of a ring of ahead = _ahead(chunks) chunk-sized
+    buffers, the most results _chunkwise keeps alive (one in its plain
+    loop), so no two live chunks share one and no chunk allocates; 1 / post (the plan's unpost) is built once per call.
     Each chunk's rows are added to the running sum in one reduce over the
     chunk, seeded with that sum (rows[0] += sum, then np.add.reduce along
     the rows into it), which adds the rows one by one in shift order, so the
@@ -193,7 +193,7 @@ def stnslct_reconstruct(
         raise CoverageError("window shifts leave the grid uncovered")
     plan = _plan(grid, m)
     unpost = plan.unpost()
-    ahead = _threads(chunks) + 1
+    ahead = _ahead(chunks)
     ring = [np.empty_like(g.values[chunks[0]]).reshape(-1, *grid.counts) for _ in range(ahead)]
     acc = np.zeros(grid.counts, dtype=np.complex128)
 

@@ -23,6 +23,13 @@ the fftshift: by the DFT's modulation property, on even counts
 fft(x (-1)^k) is fftshift(fft(x)) and ifft(y) (-1)^k is ifft(ifftshift(y)).
 The sign is an exact negation and numpy's FFT keeps both identities byte
 for byte, up to the sign of an exact zero, so no quadrant is ever moved.
+
+In 2-D, nslct_fast and nslct_inverse take the FFT over the whole grid in
+passes on the chunk runner's threads (grids._chunkwise): the row blocks,
+then the column blocks, the order in which fftn works through the axes,
+so the bytes are one fftn's; the output factor takes a third pass over
+the row blocks (_passes).  1-D transforms and the gram's stacked rows keep
+one FFT call each.
 """
 from __future__ import annotations
 
@@ -34,7 +41,8 @@ import numpy as np
 
 from .errors import BadParam, GridMismatch
 from .grids import (
-    Grid, SampledSignal, Spectrum, _chunks, _result_signal, _warp_meshes, check_dimension, frequency_grid,
+    Grid, SampledSignal, Spectrum, _chunks, _chunkwise, _result_signal, _threads, _warp_meshes,
+    check_dimension, frequency_grid,
 )
 from .symplectic import FreeSymplecticMatrix, _close, same_matrix
 
@@ -237,6 +245,31 @@ class _FastPlan:
         return out
 
 
+def _passes(out: np.ndarray, first, transform, last):
+    """A 2-D whole-grid transform of out in three passes, each on
+    grids._chunkwise over grids._chunks' blocks of whole rows or columns:
+    first(block, slot) over the row blocks, which leaves each row
+    transformed along axis -1; transform (np.fft.fft or ifft) in place
+    along axis -2 over the column blocks; last(block, slot) over the row
+    blocks.  fftn over (-2, -1) transforms along axis -1 first, then along
+    -2, each line on its own, so the passes give its bytes.  The output
+    factor takes a pass of its own because a product over a column block
+    (strided rows) runs through numpy's buffered iterator, about 4x slower
+    than over a row block, and traces its buffers."""
+    n0, n1 = out.shape
+    rows, columns = _chunks((n0,), n1), [(slice(None), *c) for c in _chunks((n1,), n0)]
+
+    def along_columns(block, slot):
+        transform(out[block], axis=-2, out=out[block])
+
+    for blocks, work in ((rows, first), (columns, along_columns), (rows, last)):
+        _chunkwise(blocks, work, _in_place)
+
+
+def _in_place(block, result):
+    """The take of a pass whose work wrote its block in place."""
+
+
 def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
     """The plan of m on grid, built on first use and kept in the grid's
     record until m dies or the grid leaves _grid_axes."""
@@ -248,22 +281,58 @@ def _plan(grid: Grid, m: FreeSymplecticMatrix) -> _FastPlan:
 
 
 def nslct_fast(f: SampledSignal, m: FreeSymplecticMatrix) -> Spectrum:
-    """Transform on the warped FFT lattice w = B omega in O(N log N)."""
-    plan = _plan(f.grid, m)
-    return Spectrum(m, plan.forward_chirped(f.values * plan.chirp), f.grid)
+    """Transform on the warped FFT lattice w = B omega in O(N log N): the
+    values times the input chirp, the FFT, times the output factor.  In 2-D
+    this runs in three passes (_passes)."""
+    plan, values = _plan(f.grid, m), f.values
+    if values.ndim == 1:
+        return Spectrum(m, plan.forward_chirped(values * plan.chirp), f.grid)
+    out = np.empty_like(values)
+
+    def chirped(block, slot):
+        run = out[block]
+        np.multiply(values[block], plan.chirp[block], out=run)
+        np.fft.fft(run, axis=-1, out=run)
+
+    def posted(block, slot):
+        np.multiply(out[block], plan.post[block], out=out[block])
+
+    _passes(out, chirped, np.fft.fft, posted)
+    return Spectrum(m, out, f.grid)
 
 
 def nslct_inverse(spec: Spectrum, m: FreeSymplecticMatrix) -> SampledSignal:
-    """Undo nslct_fast; exact (to rounding) on its own lattice.
+    """Undo nslct_fast; exact (to rounding) on its own lattice: the values
+    times unpost, the inverse FFT, times the conjugate input chirp.  In 2-D
+    this runs in three passes (_passes), each thread slot taking its runs
+    of unpost (conj(post) * unscale) and conj(chirp) in one row block of
+    scratch from the calling thread, so no full-grid factor is built.
 
     Raises GridMismatch unless m is the matrix the spectrum was made under,
     and NonFiniteOutput if the result overflows.
     """
     if not same_matrix(spec.matrix, m):
         raise GridMismatch("spectrum was produced under a different matrix")
-    plan = _plan(spec.signal_grid, m)
-    out = plan.inverse_chirped(spec.values, plan.unpost(), np.empty_like(spec.values))
-    out *= np.conj(plan.chirp)
+    plan, values = _plan(spec.signal_grid, m), spec.values
+    out = np.empty_like(values)
+    if values.ndim == 1:
+        plan.inverse_chirped(values, plan.unpost(), out)
+        out *= np.conj(plan.chirp)
+        return _result_signal(spec.signal_grid, out)
+    rows = _chunks(out.shape[:1], out.shape[1])
+    scratch = [np.empty_like(out[rows[0]]) for _ in range(_threads(rows))]
+
+    def unposted(block, slot):
+        unpost = np.conj(plan.post[block], out=scratch[slot])
+        unpost *= plan.unscale
+        run = np.multiply(values[block], unpost, out=out[block])
+        np.fft.ifft(run, axis=-1, out=run)
+
+    def unchirped(block, slot):
+        np.multiply(out[block], np.conj(plan.chirp[block], out=scratch[slot]), out=out[block])
+
+    _passes(out, unposted, np.fft.ifft, unchirped)
+    del scratch  # freed before the finiteness check
     return _result_signal(spec.signal_grid, out)
 
 

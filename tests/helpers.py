@@ -2,11 +2,13 @@
 of the package internals (plain loops over the defining sums)."""
 from __future__ import annotations
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 
-from nslct import Grid, SampledSignal
+from nslct import Grid, SampledSignal, grids
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,6 +37,40 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def threads_after(workers: int) -> int:
+    """threading.active_count() once a chunked call on `workers` threads
+    has returned: the count now plus the kept slot threads that the call
+    starts (those it finds missing; none in the plain loop at one worker)."""
+    missing = 0 if workers == 1 else max(0, workers - len(grids._slots))
+    return threading.active_count() + missing
+
+
+def within(seconds: float, *fns) -> list:
+    """Each fn() at once, each on a daemon thread of its own, and their
+    results in order, or the first exception raised here; fails if one has
+    not returned within seconds, so that a deadlock fails the test instead
+    of hanging the run."""
+    out = [None] * len(fns)
+
+    def call(i, fn):
+        try:
+            out[i] = (fn(), None)
+        except BaseException as exc:
+            out[i] = (None, exc)
+
+    threads = [threading.Thread(target=call, args=(i, fn), daemon=True) for i, fn in enumerate(fns)]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert all(o is not None for o in out), f"still running after {seconds} s"
+    for _, exc in out:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in out]
 
 
 def gaussian_1d(grid: Grid, sigma: float = 1.0, shift: float = 0.0) -> SampledSignal:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -24,12 +25,13 @@ from nslct import (
     nslct_fast,
     output_lattice,
     preset,
+    random_free_matrix,
     stnslct_gram,
     synthesize,
 )
 from nslct import grids, transform
 
-from helpers import grid1, grid2
+from helpers import grid1, grid2, threads_after, within
 
 
 def test_centered_grid_geometry():
@@ -352,22 +354,83 @@ def test_each_chunk_runner_thread_is_held_to_one_cpu(workers, monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_failing_chunk_stops_the_chunk_runner_within_a_window(workers, monkeypatch):
+    """The first exception stops the call within a window of chunks; every
+    chunk handed out has finished when the call returns, and the threads
+    left are the kept slot threads, which the next call runs on."""
     monkeypatch.setattr(grids, "_WORKERS", workers)
     boom = RuntimeError("third chunk")
-    started = []
+    started, finished = [], []
 
     def work(chunk, *slot):
         started.append(chunk)
         if chunk == 2:
             raise boom
+        time.sleep(1e-3)  # chunks still at work when the exception comes
+        finished.append(chunk)
         return chunk
 
-    threads = threading.active_count()
+    threads = threads_after(workers)
     with pytest.raises(RuntimeError) as err:
         grids._chunkwise(list(range(64)), work, lambda chunk, out: None)
     assert err.value is boom
     assert len(started) <= 3 + workers + 1
+    assert sorted(finished + [2]) == sorted(started)
     assert threading.active_count() == threads
+    taken = []
+    grids._chunkwise(list(range(64)), lambda chunk, *slot: chunk, lambda chunk, out: taken.append(out))
+    assert taken == list(range(64))
+    assert threading.active_count() == threads
+
+
+def test_a_chunk_runner_call_from_a_slot_thread_runs_the_plain_loop(monkeypatch):
+    """work that calls the chunk runner itself gets the plain loop on its own
+    slot thread, in place of waiting on slot threads busy with the outer
+    call."""
+    monkeypatch.setattr(grids, "_WORKERS", 2)
+
+    def work(chunk, slot):
+        inner, me = [], threading.get_ident()
+        grids._chunkwise(list(range(4)), lambda c, s: (c, s, threading.get_ident()),
+                         lambda c, out: inner.append(out))
+        return inner == [(c, 0, me) for c in range(4)]
+
+    taken = []
+    within(60, lambda: grids._chunkwise(list(range(8)), work, lambda chunk, ok: taken.append(ok)))
+    assert taken == [True] * 8
+
+
+def test_a_forked_child_starts_its_own_slot_threads(tmp_path, monkeypatch):
+    """A child forked after the parent started its slot threads has none of
+    them; its chunked calls start their own and give the parent's bytes."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    monkeypatch.setattr(grids, "_WORKERS", 2)
+    g2 = Grid.centered((512, 512), 0.05)
+    f2 = synthesize("noise", g2, seed=61)
+    m2 = random_free_matrix(np.random.default_rng(62), 2)
+    g1 = grid1(512, 0.05)
+    f1 = synthesize("noise", g1, seed=63)
+    wspec = WindowSpec(synthesize("gaussian", g1, sigma=1.2), stride=1)
+    m1 = random_free_matrix(np.random.default_rng(64), 1)
+
+    def outputs():  # a 512^2 transform in 8 row blocks and a gram in 8 chunks
+        return [nslct_fast(f2, m2).values.tobytes(), stnslct_gram(f1, wspec, m1).values.tobytes()]
+
+    want = outputs()  # starts the parent's slot threads
+    assert len(grids._slots) >= 2
+
+    def child():
+        for i, out in enumerate(outputs()):
+            (tmp_path / f"{i}.bin").write_bytes(out)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(120)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+    assert [(tmp_path / f"{i}.bin").read_bytes() for i in range(2)] == want
 
 
 @settings(max_examples=40, deadline=None)

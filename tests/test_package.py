@@ -14,6 +14,7 @@ from nslct import (
     Grid, WindowSpec, grids, moyal, preset, shorttime, stnslct_gram, synthesize, uncertainty, verify,
 )
 from nslct.cli import main
+from nslct.transform import _FastPlan
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -52,18 +53,29 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_a_one_chunk_gram_starts_no_thread(monkeypatch):
-    started = []
-    thread = threading.Thread
+    """A chunked call starts only the slot threads that are missing, a
+    repeated call starts none, and a one-chunk pass runs on the calling
+    thread alone."""
+    started, ran_on = [], set()
+    thread, forward = threading.Thread, _FastPlan.forward_chirped
     monkeypatch.setattr(grids, "_WORKERS", 2)
+    monkeypatch.setattr(grids, "_slots", [])  # a process that has started no slot thread yet
     monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(1) or thread(*a, **k))
+    monkeypatch.setattr(_FastPlan, "forward_chirped",
+                        lambda self, rows: ran_on.add(threading.get_ident()) or forward(self, rows))
     g = Grid.centered((256,), (0.1,))
     m = preset("frft", 1, alpha=0.7)
     f = synthesize("noise", g, seed=3)
-    for stride, threads in ((1, 2), (4, 0)):  # 256 rows, two chunks; a `verify` 1-D combo: 64 rows, one
+    # 256 rows, two chunks: both slots start on the first call, none on the
+    # second; a `verify` 1-D combo: 64 rows, one chunk, on this thread
+    for stride, threads in ((1, 2), (1, 0), (4, 0)):
         started.clear()
+        ran_on.clear()
         wspec = WindowSpec(synthesize("gaussian", g, sigma=1.0), stride=stride)
         gram = stnslct_gram(f, wspec, m)
         assert len(started) == threads, stride
+        me = threading.get_ident()
+        assert ran_on == {me} if stride == 4 else ran_on and me not in ran_on, stride
     # every report on the 64 x 256-cell combo gram sums one block, on this
     # thread, whether the gram is kept or streamed as `verify` does
     needs = []

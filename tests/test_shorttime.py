@@ -39,7 +39,7 @@ from nslct import grids, shorttime
 from nslct.symplectic import frft
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign, traced_peak
+from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign, threads_after, traced_peak, within
 
 TWO_PI = 2.0 * np.pi
 
@@ -415,6 +415,8 @@ def _eight_chunk_case():
 @pytest.mark.parametrize("name", [pytest.param("forward_chirped", id="forward_values"),
                                   pytest.param("inverse_chirped", id="inverse_values")])
 def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers, monkeypatch):
+    """After the failing call the threads are the kept slot threads, and
+    the next calls give the row loop's bytes."""
     f, wspec, m = _eight_chunk_case()
     want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
     gram = stnslct_gram(f, wspec, m)
@@ -429,7 +431,7 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
 
     monkeypatch.setattr(grids, "_WORKERS", workers)
     monkeypatch.setattr(_FastPlan, name, third_fails)
-    threads = threading.active_count()
+    threads = threads_after(workers)
     with pytest.raises(RuntimeError) as err:
         if name == "forward_chirped":
             stnslct_gram(f, wspec, m)
@@ -443,6 +445,8 @@ def test_a_failing_chunk_raises_its_exception_and_leaves_no_thread(name, workers
 
 @pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"power-sum-{w}")
 def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(workers, monkeypatch):
+    """After the failing call the threads are the kept slot threads, and
+    the next call gives the same sum."""
     g = grid2()
     f = synthesize("noise", g, seed=9)
     m = random_free_matrix(np.random.default_rng(46), 2)
@@ -464,7 +468,7 @@ def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(worker
 
     monkeypatch.setattr(grids, "_WORKERS", workers)
     monkeypatch.setattr(grids, "_chunkwise", third_fails)
-    threads = threading.active_count()
+    threads = threads_after(workers)
     with pytest.raises(RuntimeError) as err:
         grids._power_sum(gram, 4.0, weight)
     assert err.value is boom
@@ -474,6 +478,8 @@ def test_a_failing_report_block_raises_its_exception_and_leaves_no_thread(worker
 
 
 def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch):
+    """Eight slot threads on fewer CPUs keep every byte; the first round
+    starts the slots that are missing, and the rounds after it start none."""
     f, wspec, m = _eight_chunk_case()
     want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
     # report sums over the 8 blocks of that gram, each thread filling its own scratch block
@@ -484,7 +490,7 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
     want_sum = float(cell * np.sum(mags**2 * mags * weight))
     want_pairing = complex(np.sum(want_gram * np.conj(want_gram)) * cell)
     monkeypatch.setattr(grids, "_WORKERS", 8)
-    threads = threading.active_count()
+    threads = threads_after(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -497,9 +503,35 @@ def test_more_workers_than_cpus_under_fast_switching_keep_the_bytes(monkeypatch)
             # the same sums from the gram's chunks as they are made, the gram never held
             streamed = shorttime._gram_sums(f, wspec, m, [(3.0, weight)])
             assert np.array(streamed).tobytes() == np.array([want_sum]).tobytes()
+            assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
+
+
+def test_two_calling_threads_share_the_slot_threads(monkeypatch):
+    """Two threads making grams and reconstructions at once, under fast
+    switching, both lend their calls to the same three slot threads; each
+    gets the row loop's bytes."""
+    f, wspec, m = _eight_chunk_case()
+    want_gram, want_rec, _ = _row_loop_gram_and_reconstructions(f, wspec, m)
+    monkeypatch.setattr(grids, "_WORKERS", 3)
+
+    def caller():
+        got = []
+        for _ in range(5):
+            gram = stnslct_gram(f, wspec, m)
+            got.append((gram.values.tobytes(), stnslct_reconstruct(gram, wspec, m).values.tobytes()))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = within(120, caller, caller)
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == [(want_gram.tobytes(), want_rec.tobytes())] * 5
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -519,9 +551,11 @@ def test_gram_fill_makes_no_chunk_temporary(workers, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_overlap_add_inverts_its_chunks_into_a_ring_and_makes_no_chunk_temporary(workers, monkeypatch):
-    """Chunk k of the overlap-add is inverted into buffer k % (workers + 1)
-    of one ring, and above its output a 2048-point stride-1 reconstruction
-    (128 chunks of 512 KB) traces a peak under the ring plus 1 MB."""
+    """Chunk k of the overlap-add is inverted into buffer k % ahead of one
+    ring, ahead the results the chunk runner keeps alive: workers + 1 on
+    threads, 1 in the plain loop at one worker.  Above its output a
+    2048-point stride-1 reconstruction (128 chunks of 512 KB) traces a peak
+    under the ring plus 512 KB."""
     g = grid1(2048, 0.05)
     f = synthesize("noise", g, seed=3)
     wspec = WindowSpec(synthesize("gaussian", g, sigma=1.4), stride=1)
@@ -540,13 +574,14 @@ def test_overlap_add_inverts_its_chunks_into_a_ring_and_makes_no_chunk_temporary
     with monkeypatch.context() as patch:
         patch.setattr(_FastPlan, "inverse_chirped", spy)
         want = stnslct_reconstruct(gram, wspec, m)  # also builds the plan and the partition
-    ahead = workers + 1
+    ahead = 1 if workers == 1 else workers + 1
+    assert grids._ahead(shorttime._gram_source(f, wspec, m)[1]) == ahead
     assert sorted(buffers) == list(range(128))
     assert len(set(buffers.values())) == ahead
     assert all(buffers[k] == buffers[k % ahead] for k in buffers)
     rec, peak = traced_peak(lambda: stnslct_reconstruct(gram, wspec, m))
     assert rec.values.tobytes() == want.values.tobytes()
-    assert peak - rec.values.nbytes < ahead * chunk_bytes + 1_000_000, peak - rec.values.nbytes
+    assert peak - rec.values.nbytes < (ahead + 1) * chunk_bytes, peak - rec.values.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2])

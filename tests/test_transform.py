@@ -453,6 +453,53 @@ def test_fast_transform_with_a_kept_plan_allocates_about_one_grid_array():
     assert peak <= 1.25 * f.values.nbytes, peak
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_inverse_with_a_kept_plan_allocates_one_grid_array_and_a_row_block_per_thread(workers, monkeypatch):
+    """With its plan kept, a 2-D nslct_inverse allocates its output and,
+    per thread, one row block of scratch (2^15 cells, 1/8 of a 512^2 grid)
+    for its runs of unpost and conj(chirp); it builds no full-grid factor
+    (traced peak, 512^2: 2.00 grid arrays when unpost was built whole)."""
+    g = Grid.centered((512, 512), 0.05)
+    f = synthesize("noise", g, seed=51)
+    m = random_free_matrix(np.random.default_rng(52), 2)
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    spec = nslct_fast(f, m)  # builds the plan, which the grid's record keeps
+    nslct_inverse(spec, m)  # starts the slot threads
+    _, peak = traced_peak(lambda: nslct_inverse(spec, m))
+    assert peak <= (1 + workers / 8) * f.values.nbytes + 16_384, peak / f.values.nbytes
+
+
+def _whole_grid(plan, values, inverse: bool) -> np.ndarray:
+    """The 2-D transform (or inverse) as one fftn (or ifftn) over the whole
+    grid between the plan's factors."""
+    if inverse:
+        unpost = np.conj(plan.post)
+        unpost *= plan.unscale
+        return np.fft.ifftn(values * unpost, axes=(-2, -1)) * np.conj(plan.chirp)
+    return np.fft.fftn(values * plan.chirp, axes=(-2, -1)) * plan.post
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("counts", [(512, 512), (256, 512), (8, 4096), (128, 128)],
+                         ids=["512x512", "256x512", "8x4096", "128x128-one-chunk"])
+def test_2d_transforms_in_row_and_column_passes_keep_the_bytes_of_one_fftn(counts, workers, monkeypatch):
+    """nslct_fast and nslct_inverse in 2-D run in row and column passes on
+    the chunk runner; each gives the bytes of one fftn (ifftn) over the
+    grid, on noise and on an all-zero input, whose zeros keep their signs."""
+    g = Grid.centered(counts, 0.05)
+    rng = np.random.default_rng(53)
+    noise = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    for draw in range(2):
+        m = random_free_matrix(rng, 2)
+        plan = _plan(g, m)
+        for kind, values in (("noise", noise), ("zero", np.zeros(counts, np.complex128))):
+            spec = nslct_fast(SampledSignal(g, values), m)
+            assert spec.values.tobytes() == _whole_grid(plan, values, False).tobytes(), (draw, kind)
+            back = nslct_inverse(Spectrum(m, values, g), m)
+            assert back.values.tobytes() == _whole_grid(plan, values, True).tobytes(), (draw, kind)
+
+
 def test_plan_arrays_are_read_only():
     plan = _plan(grid1(), preset("frft", 1, alpha=0.3))
     for arr in (plan.chirp, plan.post):
