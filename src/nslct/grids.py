@@ -30,7 +30,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class SampledSignal:
 
     def __post_init__(self):
         _freeze_values(self, self.grid.counts, "signal")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise BadParam("signal values must be finite")
 
     @property
@@ -296,10 +296,13 @@ def check_gram(g: Gram, grid: Grid, m: FreeSymplecticMatrix, stride: int | None 
         raise GridMismatch("gram was produced under a different matrix")
 
 
+@lru_cache(maxsize=8)
 def frequency_grid(grid: Grid) -> Grid:
     """FFT frequency lattice of a signal grid, in ascending order.
 
     omega_j runs over 2 pi m / (N_j delta_j) for m in [-N_j/2, N_j/2).
+    A grid is immutable, so the lattices of the 8 most recently used grids
+    are kept: every fresh spectrum's cell reads one.
     """
     spacing = tuple(TWO_PI / (N * s) for N, s in zip(grid.counts, grid.spacing))
     origin = tuple(-(N // 2) * s for N, s in zip(grid.counts, spacing))
@@ -452,19 +455,20 @@ def _chunkwise(chunks: list, work, take) -> None:
             left += done.get()[0] is None
 
 
-def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> list:
+def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, read) -> list:
     """Every sum in needs over one table V, in one pass over its chunks.
 
     The table has shape, 2^k cells, and comes in chunks: equal runs of 2^j
-    cells in row-major order; fill(chunk, out) returns a chunk's values,
-    written into out (chunk-sized complex scratch) or read from elsewhere.
-    A need is (p, weight) for cell * sum |V|^p * weight, weight None or
-    spanning the trailing (grid) axes of V, or (inf, None) for max |V|.
-    Results come in the order of needs.
+    cells in row-major order; read(chunk, slot) returns a chunk's values,
+    from a kept table or made into the scratch that the caller keeps for
+    thread slot slot.  A need is (p, weight) for cell * sum |V|^p * weight,
+    weight None or spanning the trailing (grid) axes of V, or (inf, None)
+    for max |V|.  Results come in the order of needs.
 
     The chunks run on _chunkwise's threads, each thread slot working in its
-    own set of scratch arrays from the calling thread, and take |V| and
-    |V|^2 once.  Each term is built from them in the ufuncs and operand
+    own set of scratch arrays from the calling thread, only those that the
+    needs use (|V|^2 overwrites |V| when no term reads |V|), and take |V|
+    and |V|^2 once.  Each term is built from them in the ufuncs and operand
     order of its expression over the whole table: with sq = |V| ** 2, the
     power is |V|, sq, sq * |V| or sq * sq at p = 1, 2, 3 or 4 and |V| ** p
     at any other p, times weight if given.  Each is summed by one np.sum
@@ -477,13 +481,19 @@ def _sums(needs, cell: float, shape: tuple[int, ...], chunks: list, fill) -> lis
     args = [w if w is None else np.broadcast_to(w, shape[len(shape) - np.ndim(w):]).reshape(-1)
             for _, w in keys]
     squared = any(p in (2.0, 3.0, 4.0) for p, _ in keys)
-    scratch = [(np.empty(step, np.complex128), np.empty(step), np.empty(step), np.empty(step))
-               for _ in range(_threads(chunks))]
+    apart = any(p not in (2.0, 4.0) for p, _ in keys)  # |V| is read after |V|^2 is taken
+    made = any(p not in (1.0, 2.0, math.inf) or w is not None for p, w in keys)  # a term of its own
+
+    def slot_scratch():
+        mags = np.empty(step)
+        return mags, np.empty(step) if squared and apart else mags, np.empty(step) if made else None
+
+    scratch = [slot_scratch() for _ in range(_threads(chunks))]
 
     def chunk_sums(item, slot):
         k, chunk = item
-        values, mags, squares, terms = scratch[slot]
-        np.abs(fill(chunk, values).reshape(-1), out=mags)
+        mags, squares, terms = scratch[slot]
+        np.abs(read(chunk, slot).reshape(-1), out=mags)
         if squared:
             np.square(mags, out=squares)
         out = []
@@ -519,7 +529,7 @@ def _tree(sums: list):
 def _table_sums(obj, needs) -> list:
     """_sums over the kept values of a signal, spectrum or gram, read in the contiguous slabs of _chunks."""
     values = obj.values
-    return _sums(needs, obj.cell, values.shape, _chunks(values.shape, 1), lambda chunk, out: values[chunk])
+    return _sums(needs, obj.cell, values.shape, _chunks(values.shape, 1), lambda chunk, slot: values[chunk])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +581,7 @@ def _gaussian_values(grid: Grid, sigma, center) -> np.ndarray:
     cen = _per_axis(center, grid.n, "center", float)
     if any(not (s > 0.0) for s in sig):
         raise BadParam("gaussian sigma must be positive")
-    out = np.ones(grid.counts)
+    out = 1.0  # the product over the axes broadcasts to the grid
     for j, m in enumerate(grid.mesh()):
         out = out * (
             math.pi ** -0.25 / math.sqrt(sig[j]) * np.exp(-((m - cen[j]) ** 2) / (2.0 * sig[j] ** 2))
@@ -608,7 +618,7 @@ def synthesize(kind: str, grid: Grid, **params) -> SampledSignal:
         env = _gaussian_values(grid, params.pop("sigma", default_sig), params.pop("center", 0.0))
         freq = _per_axis(params.pop("freq", 0.0), grid.n, "freq", float)
         rate = _per_axis(params.pop("rate", 0.0), grid.n, "rate", float)
-        phase = np.zeros(grid.counts)
+        phase = 0.0  # the sum over the axes broadcasts to the grid
         for j, m in enumerate(grid.mesh()):
             phase = phase + freq[j] * m + 0.5 * rate[j] * m * m
         vals = env * np.exp(1j * phase)

@@ -23,7 +23,7 @@ Chunks run on the threads of grids._chunkwise, and the bytes do not depend
 on the thread count: each chunk's arithmetic is fixed, and the overlap-add
 adds each chunk's rows on the calling thread in one reduce seeded with the
 running sum, which adds them one by one in shift order.  No chunk of either
-allocates: a gram chunk is made in the gram (or the sum pass's scratch), and
+allocates: a gram chunk is made in the gram (or in _gram_sums' scratch), and
 an overlap-add chunk in a ring of one buffer per result _chunkwise keeps
 alive (grids._ahead).  The overlap-add's window partition is taken once
 per WindowSpec (WindowSpec.partition).
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, CoverageError, GridMismatch, ZeroSignal
 from .grids import (
-    Grid, Gram, SampledSignal, _ahead, _chunks, _chunkwise, _result_signal, _sums, check_gram,
+    Grid, Gram, SampledSignal, _ahead, _chunks, _chunkwise, _result_signal, _sums, _threads, check_gram,
     gram_cell, inner, output_lattice, shift_lattice,
 )
 from .symplectic import FreeSymplecticMatrix
@@ -151,11 +151,14 @@ def stnslct_gram(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix) -
 
 def _gram_sums(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix, needs) -> list:
     """The sums in needs (grids._sums) over stnslct_gram(f, wspec, m), each
-    taken from a chunk as the gram's fill makes it, so no gram is held.  Each
+    taken from a chunk as the gram's fill makes it in one chunk of scratch
+    per thread slot, so no gram is held.  Each
     is, bit for bit, the same sum over the kept gram: the cell is the kept
     gram's, from the lattices that f's grid, the stride and m fix."""
     cell = gram_cell(output_lattice(f.grid, m), shift_lattice(f.grid, wspec.stride))
-    return _sums(needs, cell, *_gram_source(f, wspec, m))
+    shape, chunks, fill = _gram_source(f, wspec, m)
+    scratch = [np.empty(math.prod(shape) // len(chunks), np.complex128) for _ in range(_threads(chunks))]
+    return _sums(needs, cell, shape, chunks, lambda chunk, slot: fill(chunk, scratch[slot]))
 
 
 def stnslct_reconstruct(

@@ -27,7 +27,7 @@ def _as_block(m, name: str) -> np.ndarray:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"block {name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise BadParam(f"block {name} contains non-finite entries")
     return arr
 
@@ -92,7 +92,8 @@ class FreeSymplecticMatrix:
 
     def as_matrix(self) -> np.ndarray:
         """Assemble the full 2n x 2n matrix."""
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        return np.concatenate([np.concatenate([self.a, self.b], axis=1),
+                               np.concatenate([self.c, self.d], axis=1)])
 
 
 def validate(a, b, c, d) -> FreeSymplecticMatrix:
@@ -119,7 +120,7 @@ def validate(a, b, c, d) -> FreeSymplecticMatrix:
         ("A D^T - B C^T = I", A @ D.T - B @ C.T - eye),
     )
     for name, resid in checks:
-        r = float(np.max(np.abs(resid)))
+        r = float(np.abs(resid).max())
         if r > TAU_SYM:
             raise SymplecticViolation(name, r)
 

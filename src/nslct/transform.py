@@ -67,13 +67,28 @@ def _columns(p, n: int) -> list[np.ndarray]:
 
 
 def _form(us, q: np.ndarray, vs) -> np.ndarray:
-    """sum_ij q_ij u_i v_j over broadcastable coordinate arrays, zero q_ij skipped."""
-    out = np.zeros(np.broadcast(*us, *vs).shape)
+    """sum_ij q_ij u_i v_j over broadcastable coordinate arrays, zero q_ij
+    skipped, in their broadcast shape (a read-only broadcast view when the
+    live terms do not span it).
+
+    The sum starts from its first term, not from zeros: 0 + x differs from
+    x only in the sign of a zero, which exp(i x) does not see.
+    """
+    shape = np.broadcast(*us, *vs).shape
+    out = None
     for i in range(len(us)):
         for j in range(len(vs)):
             if q[i, j] != 0.0:
-                out += q[i, j] * (us[i] * vs[j])
-    return out
+                term = q[i, j] * (us[i] * vs[j])
+                if out is None:
+                    out = term
+                elif out.shape == shape:
+                    out += term
+                else:
+                    out = out + term
+    if out is None:
+        return np.zeros(shape)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _unit_phase(phase: np.ndarray) -> np.ndarray:

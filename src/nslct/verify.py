@@ -2,15 +2,17 @@
 
 Each suite produces flat records (both sides, constant, margin, tolerance,
 pass flag) so a run can be serialized, diffed and re-run bit-identically
-from the same seed.  Each (signal, window, matrix) combination's reports
-are finished from sums that one pass takes from the combination's gram
-chunk by chunk, as the chunks are made, for every wanted suite at once, so
-a run never holds a combination gram.
+from the same seed.  The battery's fixed matrices are built once per
+process (_preset), so their plans are kept from call to call; every seeded
+input is drawn per call, in one rng order.  Each (signal, window, matrix)
+combination's reports are finished from sums that one pass takes from the
+combination's gram chunk by chunk, as the chunks are made, for every
+wanted suite at once, so a run never holds a combination gram.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -118,8 +120,13 @@ def _signal(i: int, grid: Grid, rng: np.random.Generator) -> SampledSignal:
     return synthesize("noise", grid, seed=int(rng.integers(1 << 30)), band=0.4)
 
 
-def _matrix(i: int, n: int, rng: np.random.Generator):
-    cycle = i % 6
+@lru_cache(maxsize=None)
+def _preset(cycle: int, n: int) -> tuple[FreeSymplecticMatrix, str]:
+    """The fixed matrix of cycle 0-3 in n dimensions, and its tag: built
+    once per process, so that every later call reuses its plans on the
+    battery's grids (transform._plan keys them by matrix object).  At most
+    8 matrices, and their plans on the 256-point and 64^2 grids, about
+    0.6 MB in all."""
     if cycle == 0:
         return fourier(n), "fourier"
     if cycle == 1:
@@ -128,10 +135,17 @@ def _matrix(i: int, n: int, rng: np.random.Generator):
         if n == 1:
             return fresnel(1.5), "fresnel"
         return fresnel(np.array([[1.2, 0.2], [0.2, 0.9]])), "fresnel"
-    if cycle == 3:
-        if n == 1:
-            return separable(1.0, 2.0, 0.0, 1.0), "separable"
-        return separable((1.0, 0.8), (2.0, 1.2), (0.0, 0.3), (1.0, (1.0 + 1.2 * 0.3) / 0.8)), "separable"
+    if n == 1:
+        return separable(1.0, 2.0, 0.0, 1.0), "separable"
+    return separable((1.0, 0.8), (2.0, 1.2), (0.0, 0.3), (1.0, (1.0 + 1.2 * 0.3) / 0.8)), "separable"
+
+
+def _matrix(i: int, n: int, rng: np.random.Generator):
+    """Cycle i % 6 of the battery's matrices: the fixed presets (_preset),
+    then two seeded random draws, which alone read rng."""
+    cycle = i % 6
+    if cycle < 4:
+        return _preset(cycle, n)
     return random_free_matrix(rng, n), "random"
 
 

@@ -259,23 +259,17 @@ def test_11_cli(tmp_path):
     # bit-exact round trips through the CLI formats
     rt = nio.read_signal(tmp_path / "f.txt")
     nio.write_signal(tmp_path / "f2.txt", rt)
-    checks.append(
-        open(tmp_path / "f.txt", "rb").read() == open(tmp_path / "f2.txt", "rb").read()
-    )
+    checks.append((tmp_path / "f.txt").read_bytes() == (tmp_path / "f2.txt").read_bytes())
     rc, _, _ = run("transform", "--signal", tmp_path / "f.txt",
                    "--matrix", tmp_path / "m.txt", "--out", tmp_path / "F.txt")
     checks.append(rc == 0)
     nio.write_spectrum(tmp_path / "F2.txt", nio.read_spectrum(tmp_path / "F.txt"))
-    checks.append(
-        open(tmp_path / "F.txt", "rb").read() == open(tmp_path / "F2.txt", "rb").read()
-    )
+    checks.append((tmp_path / "F.txt").read_bytes() == (tmp_path / "F2.txt").read_bytes())
     # deterministic full verification run, exit 0
     rc1, _, _ = run("verify", "--suite", "all", "--seed", "1", "--out", tmp_path / "r1.csv")
     rc2, _, _ = run("verify", "--suite", "all", "--seed", "1", "--out", tmp_path / "r2.csv")
     checks.append(rc1 == 0 and rc2 == 0)
-    checks.append(
-        open(tmp_path / "r1.csv", "rb").read() == open(tmp_path / "r2.csv", "rb").read()
-    )
+    checks.append((tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes())
     # documented exit codes
     (tmp_path / "bad.txt").write_text("n=1; preset\n")
     checks.append(run("transform", "--signal", tmp_path / "f.txt",

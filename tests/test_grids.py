@@ -267,6 +267,83 @@ def test_lp_norms_keep_the_bytes_of_one_sum_over_the_whole_table():
         assert lp_norm(obj, np.inf) == float(np.max(want))
 
 
+def _written_synthesis(kind: str, grid: Grid, **params) -> np.ndarray:
+    """synthesize's values, written out: each product or sum over the axes
+    starts from a full grid of ones or zeros, and the L2 scale is
+    sqrt(vol * sum |v|^2)."""
+    n = grid.n
+
+    def per_axis(value):
+        vals = np.atleast_1d(np.asarray(value))
+        return tuple(float(v) for v in (np.repeat(vals, n) if vals.size == 1 else vals))
+
+    def gaussian(sigma, center):
+        sig, cen = per_axis(sigma), per_axis(center)
+        out = np.ones(grid.counts)
+        for j, m in enumerate(grid.mesh()):
+            out = out * (math.pi ** -0.25 / math.sqrt(sig[j]) * np.exp(-((m - cen[j]) ** 2) / (2.0 * sig[j] ** 2)))
+        return out.astype(np.complex128)
+
+    default_sig = tuple(N * s / 16.0 for N, s in zip(grid.counts, grid.spacing))
+    if kind == "gaussian":
+        vals = gaussian(params.get("sigma", 1.0), params.get("center", 0.0))
+    elif kind == "chirp":
+        env = gaussian(params.get("sigma", default_sig), params.get("center", 0.0))
+        freq, rate = per_axis(params.get("freq", 0.0)), per_axis(params.get("rate", 0.0))
+        phase = np.zeros(grid.counts)
+        for j, m in enumerate(grid.mesh()):
+            phase = phase + freq[j] * m + 0.5 * rate[j] * m * m
+        vals = env * np.exp(1j * phase)
+    elif kind == "noise":
+        rng = np.random.default_rng(params["seed"])
+        spec = rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts)
+        for j in range(n):
+            om = 2.0 * math.pi * np.fft.fftfreq(grid.counts[j], d=grid.spacing[j])
+            keep = np.abs(om) <= params["band"] * math.pi / grid.spacing[j]
+            spec = spec * keep.reshape([grid.counts[j] if i == j else 1 for i in range(n)])
+        vals = np.fft.ifftn(spec) * gaussian(params.get("sigma", default_sig), 0.0)
+    else:
+        inside = np.ones(grid.counts, dtype=bool)
+        for j, m in enumerate(grid.mesh()):
+            inside &= (m >= per_axis(params["lo"])[j]) & (m <= per_axis(params["hi"])[j])
+        return inside.astype(np.complex128)
+    return vals / math.sqrt(max(complex(grid.vol * np.sum(vals * np.conj(vals))).real, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian", {}),
+    ("gaussian", {"sigma": (0.9, 1.3), "center": (0.2, -0.4)}),
+    ("chirp", {}),  # a zero phase everywhere
+    ("chirp", {"freq": (-0.7, 1.1), "rate": (0.4, -0.25), "sigma": 1.2}),  # -0.0 at x = 0
+    ("chirp", {"freq": (0.0, -0.5), "rate": (-0.3, 0.0), "center": (0.3, 0.1)}),
+    ("noise", {"seed": 3, "band": 0.4}),
+    ("noise", {"seed": 11, "band": 1.0, "sigma": 0.8}),
+    ("boxcar", {"lo": (-0.5, -1.0), "hi": (0.7, 0.4)}),
+])
+def test_synthesize_keeps_the_written_out_bytes(n, kind, params):
+    grid = grid1() if n == 1 else grid2()
+    params = {k: v[:n] if isinstance(v, tuple) else v for k, v in params.items()}
+    got = synthesize(kind, grid, **params).values
+    want = _written_synthesis(kind, grid, **params)
+    assert got.shape == want.shape == grid.counts
+    assert got.tobytes() == want.astype(np.complex128).tobytes()
+
+
+def test_frequency_grid_is_kept_per_grid():
+    """Equal grids share one frequency lattice, omega_j = 2 pi m / (N_j delta_j)
+    for m in [-N_j/2, N_j/2), which a fresh spectrum's cell reads."""
+    g = Grid((64, 32), (0.35, 0.2), (-11.2, -3.0))
+    fg = frequency_grid(g)
+    assert frequency_grid(Grid((64, 32), (0.35, 0.2), (-11.2, -3.0))) is fg
+    for j, (N, d) in enumerate(zip(g.counts, g.spacing)):
+        step = 2.0 * math.pi / (N * d)
+        assert fg.counts[j] == N and fg.spacing[j] == step and fg.origin[j] == -(N // 2) * step
+    m = preset("frft", 2, alpha=0.9)
+    spec = nslct_fast(synthesize("gaussian", g, sigma=1.0), m)
+    assert spec.wgrid.base is fg and spec.cell == abs(m.det_b) * fg.vol
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_a_tree_of_block_sums_keeps_the_bytes_of_np_sum(dtype):
     # every sum of the pass rests on numpy's pairwise np.sum splitting a

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -52,7 +53,7 @@ def workdir(tmp_path):
 
 
 def read_bytes(path):
-    return open(path, "rb").read()
+    return pathlib.Path(path).read_bytes()
 
 
 # ---------------------------------------------------------------------------

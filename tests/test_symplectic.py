@@ -194,3 +194,92 @@ def test_random_compositions_stay_symplectic(alpha, shear):
     n = m.n
     j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     assert np.allclose(full @ j @ full.T, j, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# byte identity against the block formulas, written out: np.block for the
+# full matrix, the closed 1x1 / 2x2 determinant, inverse and sigma_min, and
+# the fresnel * separable * frft draw in its rng order
+
+
+def _written_validate(a, b, c, d):
+    """The fields of validate(a, b, c, d), or None when |det B| <= 1e-12."""
+    A, B, C, D = (np.array(x, dtype=float).reshape(np.shape(x) or (1, 1)) for x in (a, b, c, d))
+    n = A.shape[0]
+    eye = np.eye(n)
+    for resid in (A @ B.T - B @ A.T, C @ D.T - D @ C.T, A @ D.T - B @ C.T - eye):
+        assert float(np.max(np.abs(resid))) <= 1e-9
+    if n == 1:
+        det_b = float(B[0, 0])
+    else:
+        det_b = float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
+    if abs(det_b) <= 1e-12:
+        return None
+    if n == 1:
+        b_inv = np.array([[1.0 / det_b]])
+        sigma_min = abs(float(B[0, 0]))
+    else:
+        b_inv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det_b
+        g = B.T @ B
+        trace = float(g[0, 0] + g[1, 1])
+        lam_max = 0.5 * (trace + np.sqrt(max(trace * trace - 4.0 * det_b * det_b, 0.0)))
+        sigma_min = abs(det_b) / float(np.sqrt(lam_max))
+    return {"a": A, "b": B, "c": C, "d": D, "det_b": det_b, "b_invt": b_inv.T, "db_inv": D @ b_inv,
+            "b_inva": b_inv @ A, "sigma_min_b": sigma_min, "full": np.block([[A, B], [C, D]])}
+
+
+def _written_compose(m, o):
+    if m is None or o is None:
+        return None
+    full = m["full"] @ o["full"]
+    n = m["a"].shape[0]
+    return _written_validate(full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+
+
+def _written_draw(rng, n):
+    """random_free_matrix's draw: fresnel * separable * frft, retried."""
+    eye = np.eye(n)
+    for _ in range(64):
+        if n == 1:
+            fb = float(rng.uniform(-1.5, 1.5)) * eye
+        else:
+            diag = rng.uniform(0.6, 1.6, size=2) * rng.choice((-1.0, 1.0), size=2)
+            off = rng.uniform(-0.3, 0.3)
+            fb = np.array([[diag[0], off], [off, diag[1]]])
+        fr = _written_validate(eye, fb, np.zeros_like(eye), eye)
+        av = rng.uniform(0.6, 1.4, size=n) * rng.choice((-1.0, 1.0), size=n)
+        bv = rng.uniform(0.6, 1.6, size=n) * rng.choice((-1.0, 1.0), size=n)
+        cv = rng.uniform(-0.5, 0.5, size=n)
+        sep = _written_validate(*(np.diag(v) for v in (av, bv, cv, (1.0 + bv * cv) / av)))
+        alpha = rng.uniform(0.3, 2.8)
+        ca, sa = np.cos(alpha) * eye, np.sin(alpha) * eye
+        m = _written_compose(_written_compose(fr, sep), _written_validate(ca, sa, -sa, ca))
+        if m is None:
+            continue
+        s_min = m["sigma_min_b"]
+        s_max = abs(m["det_b"]) ** (1.0 / n) if n == 1 else abs(m["det_b"]) / s_min
+        if 0.2 <= s_min and max(s_max, s_min) <= 4.0:
+            return m
+    raise AssertionError("no draw")
+
+
+def _assert_fields(m, want):
+    for name, value in want.items():
+        got = m.as_matrix() if name == "full" else getattr(m, name)
+        assert np.asarray(got).dtype == np.float64 and np.shape(got) == np.shape(value), name
+        assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_draws_validate_and_compose_keep_the_written_out_bytes(seed, n):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    m = random_free_matrix(rng, n)
+    _assert_fields(m, _written_draw(twin, n))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    blocks = (m.a, m.b, m.c, m.d)
+    _assert_fields(validate(*blocks), _written_validate(*blocks))
+    other = random_free_matrix(rng, n)
+    _assert_fields(compose(m, other), _written_compose(_written_validate(*blocks),
+                                                       _written_validate(other.a, other.b, other.c, other.d)))
+    _assert_fields(inverse(m), _written_validate(m.d.T, -m.b.T, -m.c.T, m.a.T))

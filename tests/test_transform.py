@@ -31,6 +31,7 @@ from nslct import (
     validate,
 )
 from nslct import grids, transform
+from nslct.symplectic import fourier, fresnel, frft, separable
 from nslct.transform import _FastPlan, _plan
 
 from helpers import gaussian_1d, grid1, grid2, reference_nslct, rel_max_err, shift_sign, traced_peak
@@ -542,3 +543,64 @@ def test_linearity_property(b, seed, scale):
     lhs = nslct_fast(SampledSignal(g, f.values + scale * h.values), m).values
     rhs = nslct_fast(f, m).values + scale * nslct_fast(h, m).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, scale)
+
+
+def _written_form(us, q, vs):
+    """_form as a sum that starts from a full grid of zeros."""
+    out = np.zeros(np.broadcast(*us, *vs).shape)
+    for i in range(len(us)):
+        for j in range(len(vs)):
+            if q[i, j] != 0.0:
+                out += q[i, j] * (us[i] * vs[j])
+    return out
+
+
+def _form_cases():
+    draws = [random_free_matrix(np.random.default_rng(s), n) for n in (1, 2) for s in range(3)]
+    return [
+        fourier(1), frft(0.7), fresnel(1.5), fresnel(-1.5), separable(1.0, 2.0, 0.0, 1.0),
+        separable(-1.2, 0.8, 0.3, (1.0 + 0.8 * 0.3) / -1.2),
+        fourier(2), frft(0.9, 2), fresnel(np.array([[1.2, 0.2], [0.2, 0.9]])),
+        fresnel(np.array([[-1.2, 0.2], [0.2, -0.9]])),
+        separable((1.0, 0.8), (2.0, 1.2), (0.0, 0.3), (1.0, (1.0 + 1.2 * 0.3) / 0.8)),
+        separable((0.0, 1.0), (1.0, 2.0), (-1.0, 0.0), (0.0, 1.0)),  # one live term: a broadcast view
+    ] + draws
+
+
+@pytest.mark.parametrize("k", range(len(_form_cases())))
+def test_kernel_chirps_direct_and_fresh_plans_keep_the_bytes_of_a_zero_started_form(k, monkeypatch):
+    """_chirp, kernel_eval, nslct_direct and fresh-plan nslct_fast and
+    nslct_inverse under fourier (q = 0), frft, fresnel, separable and random
+    draws give the bytes of a form summed from a grid of zeros (0 + x is x
+    but for the sign of a zero, which exp(i x) does not see)."""
+    m = _form_cases()[k]
+    grid = grid1() if m.n == 1 else grid2()  # both hold x = 0 and omega = 0
+    f = synthesize("chirp", grid, freq=(-0.7, 0.5)[:m.n], rate=(0.3, -0.2)[:m.n])
+    lattice = output_lattice(grid, m).flat_points()
+    xs, pts = grid.flat_points()[::7], lattice[::5]
+
+    def outputs():
+        twin = validate(m.a, m.b, m.c, m.d)  # a new matrix object: a fresh plan
+        spec = nslct_fast(f, twin)
+        return [transform._chirp(grid.mesh(), m.b_inva), transform._chirp(lattice.T, m.db_inv),
+                kernel_eval(m, xs[:, np.newaxis], pts), nslct_direct(f, m, pts),
+                spec.values, nslct_inverse(spec, twin).values]
+
+    got = outputs()
+    monkeypatch.setattr(transform, "_form", _written_form)
+    want = outputs()
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_form_differs_from_the_zero_started_sum_only_in_the_sign_of_zeros():
+    """At x = 0 under a negative q the form is -0.0 where the sum from zeros
+    gives 0.0; everywhere else the bytes agree, and so do the chirps."""
+    for grid, m in ((grid1(), fresnel(-1.5)), (grid2(), fresnel(np.array([[-1.2, 0.2], [0.2, -0.9]])))):
+        xs = grid.mesh()
+        got, want = transform._form(xs, m.b_inva, xs), _written_form(xs, m.b_inva, xs)
+        assert got.shape == want.shape == grid.counts and np.array_equal(got, want)
+        moved = np.signbit(got) != np.signbit(want)
+        assert moved[tuple(N // 2 for N in grid.counts)] and np.all(got[moved] == 0.0)
+        chirp = np.exp(1j * (0.5 * want))
+        assert transform._chirp(xs, m.b_inva).tobytes() == chirp.tobytes()

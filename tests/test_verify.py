@@ -12,6 +12,7 @@ from nslct import (
     stnslct_gram, synthesize,
 )
 from nslct import io as nio
+from nslct import transform
 from nslct.uncertainty import TOL_INEQUALITY
 from nslct.verify import TOL_CROSS, TOL_EQUALITY, TOL_MOYAL, TOL_PARSEVAL
 
@@ -128,6 +129,32 @@ def test_parseval_alone_builds_no_gram(monkeypatch):
     monkeypatch.setattr(nslct.verify, "stnslct_gram", no_gram)
     records, _ = run_suite("parseval", 1)
     assert len(records) == 20 and all(r.suite == "parseval" for r in records)
+
+
+def test_parseval_keeps_the_fixed_matrices_and_draws_the_random_ones_per_call(monkeypatch):
+    """Over two calls the preset cycles (0-3) hand nslct_fast the same
+    matrix objects and the random cycles new ones; the records equal those
+    of a call that builds every matrix afresh, and the fixed matrices keep
+    at most 8 plans on the battery's grids."""
+    seen = []
+    fast = nslct.verify.nslct_fast
+    monkeypatch.setattr(nslct.verify, "nslct_fast", lambda f, m: seen.append(m) or fast(f, m))
+    nslct.verify._preset.cache_clear()
+    cold = run_suite("parseval", 5)
+    runs = [run_suite("parseval", 5), run_suite("parseval", 6)]
+    assert runs[0] == cold and runs[1][0] != cold[0]
+    calls = [seen[k:k + 20] for k in (0, 20, 40)]
+    for i in range(20):
+        ms = [call[i] for call in calls]
+        if i % 6 < 4:
+            assert ms[0] is ms[1] is ms[2]
+        else:
+            assert len({id(m) for m in ms}) == 3  # all alive in seen, so ids differ
+    fixed = {id(nslct.verify._preset(cycle, n)[0]) for cycle in range(4) for n in (1, 2)}
+    assert nslct.verify._preset.cache_info().currsize == 8
+    plans = [m for g in (nslct.verify._grid1(), nslct.verify._grid2())
+             for m in transform._grid_axes(g).plans.keys() if id(m) in fixed]
+    assert 0 < len(plans) <= 8
 
 
 def _bytes(x) -> bytes:
