@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadParam, NonFiniteOutput, NSLCTError
 from .grids import Grid, Gram, SampledSignal, Spectrum, check_gram, shift_lattice
-from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, check_n, preset, validate
+from .symplectic import PRESET_FIELDS, FreeSymplecticMatrix, _split, check_n, preset, validate
 
 # dtype of spectrum and gram payloads, on every host
 PAYLOAD = "<c16"
@@ -275,7 +275,7 @@ def _read_binary(path: str, kind: str) -> tuple[dict, Grid, FreeSymplecticMatrix
     grid = _grid_from(fields, 1)
     n = grid.n
     full = _floats(fields.get("matrix", ""), 1, 4 * n * n).reshape(2 * n, 2 * n)
-    m = validate(full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    m = validate(*_split(full))
     return fields, grid, m, payload
 
 

@@ -51,6 +51,14 @@ def _det(b: np.ndarray) -> float:
     return float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
 
 
+def _nonsingular(b: np.ndarray) -> float:
+    """det B, or SingularB when |det B| <= TAU_DET."""
+    det_b = _det(b)
+    if abs(det_b) <= TAU_DET:
+        raise SingularB(f"|det B| = {abs(det_b):.3e} below tolerance")
+    return det_b
+
+
 def _inv(b: np.ndarray, det_b: float) -> np.ndarray:
     if b.shape[0] == 1:
         return np.array([[1.0 / det_b]])
@@ -92,8 +100,18 @@ class FreeSymplecticMatrix:
 
     def as_matrix(self) -> np.ndarray:
         """Assemble the full 2n x 2n matrix."""
-        return np.concatenate([np.concatenate([self.a, self.b], axis=1),
-                               np.concatenate([self.c, self.d], axis=1)])
+        return _assemble(self.a, self.b, self.c, self.d)
+
+
+def _assemble(a, b, c, d) -> np.ndarray:
+    """The full matrix (A, B : C, D) from its n x n blocks."""
+    return np.concatenate([np.concatenate([a, b], axis=1), np.concatenate([c, d], axis=1)])
+
+
+def _split(full: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks A, B, C, D of a full 2n x 2n matrix, as views."""
+    n = full.shape[0] // 2
+    return full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:]
 
 
 def validate(a, b, c, d) -> FreeSymplecticMatrix:
@@ -124,10 +142,7 @@ def validate(a, b, c, d) -> FreeSymplecticMatrix:
         if r > TAU_SYM:
             raise SymplecticViolation(name, r)
 
-    det_b = _det(B)
-    if abs(det_b) <= TAU_DET:
-        raise SingularB(f"|det B| = {abs(det_b):.3e} below tolerance")
-
+    det_b = _nonsingular(B)
     b_inv = _inv(B, det_b)
     return FreeSymplecticMatrix(
         a=_frozen(A),
@@ -155,23 +170,31 @@ def fourier(n: int = 1) -> FreeSymplecticMatrix:
 
 def frft(alpha: float, n: int = 1) -> FreeSymplecticMatrix:
     """Rotation blocks (I cos a, I sin a : -I sin a, I cos a); needs sin a != 0."""
+    return validate(*_frft_blocks(alpha, n))
+
+
+def _frft_blocks(alpha: float, n: int) -> tuple[np.ndarray, ...]:
     s = math.sin(alpha)
     if abs(s) ** n <= TAU_DET:
         raise SingularB(f"frft angle {alpha} gives |sin| = {abs(s):.3e}; B singular")
     ca, sa = math.cos(alpha) * np.eye(n), s * np.eye(n)
-    return validate(ca, sa, -sa, ca)
+    return ca, sa, -sa, ca
 
 
 def fresnel(b, n: int | None = None) -> FreeSymplecticMatrix:
     """(I, B : 0, I) with symmetric invertible B (a scalar means b * I); a
     given n must match B."""
+    return validate(*_fresnel_blocks(b, n))
+
+
+def _fresnel_blocks(b, n: int | None = None) -> tuple[np.ndarray, ...]:
     arr = np.array(b, dtype=float)
     if arr.ndim == 0:
         arr = float(arr) * np.eye(n or 1)
     elif n is not None and arr.shape != (n, n):
         raise DimensionError(f"fresnel B has shape {arr.shape}, not {n} x {n} for n={n}")
     eye = np.eye(arr.shape[0] if arr.ndim == 2 else 1)
-    return validate(eye, arr, np.zeros_like(eye), eye)
+    return eye, arr, np.zeros_like(eye), eye
 
 
 def separable(a, b, c, d, n: int | None = None) -> FreeSymplecticMatrix:
@@ -182,6 +205,10 @@ def separable(a, b, c, d, n: int | None = None) -> FreeSymplecticMatrix:
     a_j d_j - b_j c_j = 1 with b_j != 0, which is exactly the block
     constraint set restricted to diagonal blocks.
     """
+    return validate(*_separable_blocks(a, b, c, d, n))
+
+
+def _separable_blocks(a, b, c, d, n: int | None = None) -> tuple[np.ndarray, ...]:
     parts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b, c, d)]
     n = n or max(p.size for p in parts)
     cols = []
@@ -191,7 +218,7 @@ def separable(a, b, c, d, n: int | None = None) -> FreeSymplecticMatrix:
         elif p.size != n:
             raise DimensionError(f"per-axis parameter lists must hold 1 or n={n} entries")
         cols.append(p)
-    return validate(*(np.diag(col) for col in cols))
+    return tuple(np.diag(col) for col in cols)
 
 
 # the parameters each named family needs; matrix files use the same names
@@ -255,32 +282,39 @@ def compose(m: FreeSymplecticMatrix, other: FreeSymplecticMatrix) -> FreeSymplec
     """
     if m.n != other.n:
         raise DimensionError("cannot compose matrices of different dimension")
-    full = m.as_matrix() @ other.as_matrix()
-    n = m.n
-    return validate(full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    return validate(*_split(m.as_matrix() @ other.as_matrix()))
 
 
 def random_free_matrix(rng: np.random.Generator, n: int = 1) -> FreeSymplecticMatrix:
     """Draw a random valid matrix as a fresnel * separable * frft product.
 
     Building by composition keeps symplecticity structural instead of
-    relying on projection; draws are retried until the product is
-    comfortably far from singular so downstream quadrature stays sane.
+    relying on projection.  The three factors are multiplied as full
+    matrices, (F @ S) @ R, and only the product is validated: the factors
+    and F @ S meet the block constraints by their formulas, to rounding
+    (about 1e-16 against TAU_SYM).  A draw is retried when a B block is
+    singular (the fresnel factor's, checked before the separable factor is
+    drawn, the frft factor's, or F @ S's), when the product fails validate,
+    or when it is not comfortably far from singular, so downstream
+    quadrature stays sane.
     """
     for _ in range(64):
         try:
             if n == 1:
-                fr = fresnel(rng.uniform(-1.5, 1.5))
+                fr = _fresnel_blocks(rng.uniform(-1.5, 1.5))
             else:
                 diag = rng.uniform(0.6, 1.6, size=2) * rng.choice((-1.0, 1.0), size=2)
                 off = rng.uniform(-0.3, 0.3)
-                fr = fresnel(np.array([[diag[0], off], [off, diag[1]]]))
+                fr = _fresnel_blocks(np.array([[diag[0], off], [off, diag[1]]]))
+            _nonsingular(fr[1])
             av = rng.uniform(0.6, 1.4, size=n) * rng.choice((-1.0, 1.0), size=n)
             bv = rng.uniform(0.6, 1.6, size=n) * rng.choice((-1.0, 1.0), size=n)
             cv = rng.uniform(-0.5, 0.5, size=n)
-            sep = separable(av, bv, cv, (1.0 + bv * cv) / av)
-            rot = frft(rng.uniform(0.3, 2.8), n)
-            m = compose(compose(fr, sep), rot)
+            sep = _separable_blocks(av, bv, cv, (1.0 + bv * cv) / av)
+            rot = _frft_blocks(rng.uniform(0.3, 2.8), n)
+            fs = _assemble(*fr) @ _assemble(*sep)
+            _nonsingular(_split(fs)[1])
+            m = validate(*_split(fs @ _assemble(*rot)))
         except SingularB:
             continue
         sig_max = abs(m.det_b) ** (1.0 / n) if n == 1 else abs(m.det_b) / m.sigma_min_b

@@ -2,9 +2,10 @@
 
 Each suite produces flat records (both sides, constant, margin, tolerance,
 pass flag) so a run can be serialized, diffed and re-run bit-identically
-from the same seed.  The battery's fixed matrices are built once per
-process (_preset), so their plans are kept from call to call; every seeded
-input is drawn per call, in one rng order.  Each (signal, window, matrix)
+from the same seed.  The battery's two grids (_grid1, _grid2) and its
+fixed matrices (_preset) are built once per process, so the matrices'
+plans are kept from call to call; every seeded input is drawn per call,
+in one rng order.  Each (signal, window, matrix)
 combination's reports are finished from sums that one pass takes from the
 combination's gram chunk by chunk, as the chunks are made, for every
 wanted suite at once, so a run never holds a combination gram.
@@ -94,10 +95,12 @@ class _Combo:
     m: FreeSymplecticMatrix
 
 
+@lru_cache(maxsize=None)
 def _grid1() -> Grid:
     return Grid.centered(256, 0.1)
 
 
+@lru_cache(maxsize=None)
 def _grid2() -> Grid:
     return Grid.centered((64, 64), 0.35)
 

@@ -139,6 +139,32 @@ def rel_max_err(got: np.ndarray, want: np.ndarray) -> float:
 # from the kernel K_M alone (numpy only): the continuum oracle that the
 # Riemann-sum identities (Parseval, round trip, Moyal) cannot stand in for.
 
+class ScriptedRng:
+    """A stand-in for np.random.Generator whose uniform and choice calls
+    return the scripted values in turn: a scalar, or a list of `size`
+    entries where a size is asked.  Each value must lie in the call's range
+    or among its options; calls lists (method, size) per call, and left the
+    values not yet taken."""
+
+    def __init__(self, *values):
+        self.left = list(values)
+        self.calls = []
+
+    def _take(self, method, size, ok):
+        self.calls.append((method, size))
+        value = self.left.pop(0)
+        arr = np.asarray(value, dtype=float)
+        assert arr.shape == (() if size is None else (size,)), (method, size, value)
+        assert all(ok(v) for v in arr.reshape(-1)), (method, value)
+        return float(arr) if size is None else arr
+
+    def uniform(self, low, high, size=None):
+        return self._take("uniform", size, lambda v: low <= v < high)
+
+    def choice(self, options, size=None):
+        return self._take("choice", size, lambda v: v in options)
+
+
 def _phase_parts(a, b, d):
     binv = np.linalg.inv(b)
     return binv @ a, d @ binv, binv, TWO_PI ** (-b.shape[0] / 2.0) / np.sqrt(abs(np.linalg.det(b)))

@@ -394,11 +394,33 @@ def _chunked_outputs():
 def test_one_constant_drives_every_chunked_pass(monkeypatch):
     counts, want = _chunked_outputs()
     assert counts == [128, 128]
-    # 2^14, not below: whether a finer cut keeps every pass's bytes is untested
+    # 2^14, not below: whether a finer cut keeps the bytes of the gram, the
+    # overlap-add and the sum pass is untested (nslct_direct's: see below)
     monkeypatch.setattr(grids, "_CHUNK_POINTS", 2**14)
     counts, got = _chunked_outputs()
     assert counts == [256, 256]
     assert got == want
+
+
+@pytest.mark.parametrize("per_batch", [2, 4])
+def test_nslct_direct_keeps_its_bytes_down_to_two_points_a_batch(per_batch, monkeypatch):
+    """nslct_direct's matrix products take a chunk's points as one batch;
+    cuts of 2 and 4 points give the 2^15 cut's bytes on the 64^2 grid's
+    1024 centre lattice points and on the full 256- and 2048-point
+    lattices.  (A 1-point batch changes last bits: its product is a
+    matrix-vector one.)"""
+    cases = []
+    for g in (grid2(), grid1(), grid1(2048, 0.05)):
+        m = random_free_matrix(np.random.default_rng(7), g.n)
+        pts = output_lattice(g, m).flat_points()
+        if g.n == 2:
+            pts = pts.reshape(64, 64, 2)[16:48, 16:48].reshape(-1, 2)
+        cases.append((synthesize("noise", g, seed=3), m, pts))
+    want = [nslct_direct(f, m, pts).tobytes() for f, m, pts in cases]
+    for (f, m, pts), w in zip(cases, want):
+        monkeypatch.setattr(grids, "_CHUNK_POINTS", per_batch * max(f.grid.counts))
+        assert len(grids._chunks(pts.shape[:1], max(f.grid.counts))) == len(pts) // per_batch
+        assert nslct_direct(f, m, pts).tobytes() == w, f.grid.counts
 
 
 def _eight_chunk_case():

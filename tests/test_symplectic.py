@@ -14,6 +14,7 @@ from nslct import (
     same_matrix,
     validate,
 )
+from helpers import ScriptedRng
 
 
 def test_fourier_preset_blocks():
@@ -247,6 +248,8 @@ def _written_draw(rng, n):
             off = rng.uniform(-0.3, 0.3)
             fb = np.array([[diag[0], off], [off, diag[1]]])
         fr = _written_validate(eye, fb, np.zeros_like(eye), eye)
+        if fr is None:
+            continue
         av = rng.uniform(0.6, 1.4, size=n) * rng.choice((-1.0, 1.0), size=n)
         bv = rng.uniform(0.6, 1.6, size=n) * rng.choice((-1.0, 1.0), size=n)
         cv = rng.uniform(-0.5, 0.5, size=n)
@@ -271,7 +274,7 @@ def _assert_fields(m, want):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(64))
 def test_random_draws_validate_and_compose_keep_the_written_out_bytes(seed, n):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     m = random_free_matrix(rng, n)
@@ -283,3 +286,29 @@ def test_random_draws_validate_and_compose_keep_the_written_out_bytes(seed, n):
     _assert_fields(compose(m, other), _written_compose(_written_validate(*blocks),
                                                        _written_validate(other.a, other.b, other.c, other.d)))
     _assert_fields(inverse(m), _written_validate(m.d.T, -m.b.T, -m.c.T, m.a.T))
+
+
+# each script's first try is rejected and its second taken: a 1-D fresnel
+# B = 0, rejected before the separable factor is drawn, and F = (I, -I : 0, I)
+# times S = (I, I : 0, I), whose product F @ S = I has B = 0 although
+# (F @ S) @ R = R is a well-conditioned frft
+_SECOND_TRY_1D = (0.9, [1.1], [-1.0], [1.2], [1.0], [0.3], 1.3)
+_SECOND_TRY_2D = ([0.8, 1.3], [1.0, -1.0], 0.1, [0.9, 1.2], [1.0, 1.0], [1.4, 0.7],
+                  [-1.0, 1.0], [0.2, -0.4], 2.1)
+
+
+@pytest.mark.parametrize("n, first_try", [
+    pytest.param(1, (0.0,), id="1d-fresnel-b-zero"),
+    pytest.param(1, (-1.0, [1.0], [1.0], [1.0], [1.0], [0.0], 1.0), id="1d-intermediate-b-zero"),
+    pytest.param(2, ([1.0, 1.0], [-1.0, -1.0], 0.0, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                     [1.0, 1.0], [0.0, 0.0], 1.0), id="2d-intermediate-b-zero"),
+])
+def test_scripted_retries_take_the_written_out_draws_and_bytes(n, first_try):
+    script = first_try + (_SECOND_TRY_1D if n == 1 else _SECOND_TRY_2D)
+    rng, twin = ScriptedRng(*script), ScriptedRng(*script)
+    m = random_free_matrix(rng, n)
+    _assert_fields(m, _written_draw(twin, n))
+    assert rng.calls == twin.calls and rng.left == twin.left == []
+    second = ScriptedRng(*(_SECOND_TRY_1D if n == 1 else _SECOND_TRY_2D))
+    _assert_fields(m, _written_draw(second, n))
+    assert second.left == []

@@ -133,12 +133,14 @@ def test_parseval_alone_builds_no_gram(monkeypatch):
 
 def test_parseval_keeps_the_fixed_matrices_and_draws_the_random_ones_per_call(monkeypatch):
     """Over two calls the preset cycles (0-3) hand nslct_fast the same
-    matrix objects and the random cycles new ones; the records equal those
-    of a call that builds every matrix afresh, and the fixed matrices keep
-    at most 8 plans on the battery's grids."""
-    seen = []
+    matrix objects and the random cycles new ones, every signal lies on one
+    of the battery's two kept grids; the records equal those of a call that
+    builds every matrix afresh, and the fixed matrices keep at most 8 plans
+    on the battery's grids."""
+    seen, grids = [], set()
     fast = nslct.verify.nslct_fast
-    monkeypatch.setattr(nslct.verify, "nslct_fast", lambda f, m: seen.append(m) or fast(f, m))
+    monkeypatch.setattr(nslct.verify, "nslct_fast",
+                        lambda f, m: seen.append(m) or grids.add(id(f.grid)) or fast(f, m))
     nslct.verify._preset.cache_clear()
     cold = run_suite("parseval", 5)
     runs = [run_suite("parseval", 5), run_suite("parseval", 6)]
@@ -155,6 +157,7 @@ def test_parseval_keeps_the_fixed_matrices_and_draws_the_random_ones_per_call(mo
     plans = [m for g in (nslct.verify._grid1(), nslct.verify._grid2())
              for m in transform._grid_axes(g).plans.keys() if id(m) in fixed]
     assert 0 < len(plans) <= 8
+    assert grids == {id(nslct.verify._grid1()), id(nslct.verify._grid2())}
 
 
 def _bytes(x) -> bytes:
