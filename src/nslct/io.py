@@ -187,15 +187,6 @@ def _grid_from(fields: dict, line_no: int) -> Grid:
         raise ParseError(str(exc), line_no) from None
 
 
-def _complex_col(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    # re + 1j*im would turn a -0.0 imaginary part into +0.0; assign fields
-    # instead so serialized signed zeros survive the round trip
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _read_rows(lines, expected: int, columns: int, path_kind: str) -> np.ndarray:
     if len(lines) != expected:
         got_line = lines[-1][0] if lines else 1
@@ -236,7 +227,8 @@ def read_signal(path: str) -> SampledSignal:
         raise ParseError("not a signal file (kind=signal missing)", head_no)
     grid = _grid_from(fields, head_no)
     table = _read_rows(lines[1:], grid.size, 2, "signal")
-    return SampledSignal(grid, _complex_col(table[:, 0], table[:, 1]).reshape(grid.counts))
+    # write_signal's float view read back; it keeps a -0.0 imaginary part
+    return SampledSignal(grid, table.view(np.complex128).reshape(grid.counts))
 
 
 def _write_binary(path: str, head: str, m: FreeSymplecticMatrix, values: np.ndarray):

@@ -82,10 +82,10 @@ class WindowSpec:
         return partition
 
 
-def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list:
-    """Per table, t(x - u) for every shift u, and the chunks of the shifts.
+def _shifted_windows(grid: Grid, wspec: WindowSpec, table: np.ndarray) -> tuple:
+    """table(x - u) for every shift u, and the chunks of the shifts.
 
-    Each table is a pointwise function of phi (phi, conj phi, |phi|^2) on
+    The table is a pointwise function of phi (phi, conj phi, |phi|^2) on
     the grid.  Its shifts come back as one read-only view of shape
     ucounts + counts, the shift lattice's counts first: a sliding window
     over the table tiled three times per axis, stepped by -stride from
@@ -114,8 +114,8 @@ def _shifted_windows(grid: Grid, wspec: WindowSpec, *tables: np.ndarray) -> list
     # start (-o) % N + N - s * i of the tripled table, which stays in [s, 2N)
     starts = [(-round(r)) % N for r, N in zip(offs, grid.counts)]
     steps = tuple(slice(a + N, a, -s) for a, N in zip(starts, grid.counts))
-    views = [sliding_window_view(np.tile(t, (3,) * grid.n), grid.counts)[steps] for t in tables]
-    return views + [_chunks(ucounts, grid.size)]
+    view = sliding_window_view(np.tile(table, (3,) * grid.n), grid.counts)[steps]
+    return view, _chunks(ucounts, grid.size)
 
 
 def _gram_source(f: SampledSignal, wspec: WindowSpec, m: FreeSymplecticMatrix):
@@ -183,8 +183,9 @@ def stnslct_reconstruct(
     default, which makes the discrete round trip exact in principle) or by
     the constant window energy ("constant", the continuum normalization).
     The partition does not depend on the gram: it is taken once per
-    WindowSpec and read before any row, so a coverage gap raises
-    CoverageError, either way, before any row is inverted.  A result that
+    WindowSpec and read before any row, so a partition below 1e-9 of its
+    mean ||phi||^2 (shifts wrap) raises CoverageError, either way, before
+    any row is inverted, at any scale of the window.  A result that
     overflows raises NonFiniteOutput.
     """
     if denominator not in ("pointwise", "constant"):
@@ -192,7 +193,7 @@ def stnslct_reconstruct(
     grid = wspec.window.grid
     check_gram(g, grid, m, wspec.stride)
     windows, chunks = _shifted_windows(grid, wspec, wspec.window.values)
-    if float(np.min(wspec.partition)) < 1e-9:
+    if float(np.min(wspec.partition)) < 1e-9 * wspec.norm2:
         raise CoverageError("window shifts leave the grid uncovered")
     plan = _plan(grid, m)
     unpost = plan.unpost()

@@ -24,18 +24,18 @@ fft(x (-1)^k) is fftshift(fft(x)) and ifft(y) (-1)^k is ifft(ifftshift(y)).
 The sign is an exact negation and numpy's FFT keeps both identities byte
 for byte, up to the sign of an exact zero, so no quadrant is ever moved.
 
-In 2-D, nslct_fast and nslct_inverse take the FFT over the whole grid in
-passes on the chunk runner's threads (grids._chunkwise): the row blocks,
-then the column blocks, the order in which fftn works through the axes,
-so the bytes are one fftn's; the output factor takes a third pass over
-the row blocks (_passes).  1-D transforms and the gram's stacked rows keep
-one FFT call each.
+Every FFT over the last n axes runs axis by axis, last axis first
+(_along_axes): the calls fftn makes, in its order, so the bytes are its
+own.  In 2-D, nslct_fast and nslct_inverse make those calls over the whole
+grid in passes on the chunk runner's threads (grids._chunkwise): the row
+blocks, then the column blocks, then the row blocks again for the output
+factor (_passes).
 """
 from __future__ import annotations
 
 import math
 import weakref
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,9 +169,9 @@ class _GridAxes:
 
     Per axis, as broadcastable N_j-long arrays (Grid.mesh layout): the
     sample axis x_j, the FFT-frequency axis omega_j (frequency_grid's) and
-    the carrier omega_j o_j; and the cell volume and the FFT pair.  Plans
-    under every matrix on the grid share it, so every array is read-only,
-    and it holds no full-grid array.  plans
+    the carrier omega_j o_j; and the cell volume.  Plans under every
+    matrix on the grid share it, so every array is read-only, and it holds
+    no full-grid array.  plans
     maps each matrix object to its plan on the grid and drops the plan with
     the matrix.  The key is the object, not same_matrix: a matrix within its
     tolerance would get a plan that is not bit for bit its own.
@@ -185,10 +185,6 @@ class _GridAxes:
         for arr in (*self.xs, *self.omegas, *self.carriers):
             arr.setflags(write=False)
         self.vol = grid.vol
-        # the FFT over the last n axes: in 1-D np.fft.fft gives fftn's bytes
-        # without its argument handling (ifft2 drops out=)
-        self.fft, self.ifft = (np.fft.fft, np.fft.ifft) if grid.n == 1 else (
-            partial(np.fft.fftn, axes=(-2, -1)), partial(np.fft.ifftn, axes=(-2, -1)))
 
 
 # The records of the 8 most recently used grids.  Without its plans a record
@@ -203,7 +199,8 @@ class _FastPlan:
     Built once per (matrix object, grid) by _plan and shared by every call
     under that pair, so both arrays are read-only; its callers apply the
     input chirp.  It holds no reference to its matrix, which keeps the
-    matrix, and with it the plan, collectable.
+    matrix, and with it the plan, collectable, and no FFT: its steps take
+    numpy's over the grid's n = chirp.ndim axes one by one (_along_axes).
     chirp is the input chirp times (-1)^(k_1 + ... + k_n), which does the
     fftshift of the FFT after it and, conjugated, the ifftshift of the
     inverse FFT before it (see the module docstring).  The sign negates the
@@ -231,13 +228,12 @@ class _FastPlan:
         self.unscale = 1.0 / (amp * amp)  # 1 / post = conj(post) * unscale
         self.chirp.setflags(write=False)
         self.post.setflags(write=False)
-        self.fft, self.ifft = axes.fft, axes.ifft
 
     def forward_chirped(self, chirped: np.ndarray) -> np.ndarray:
         """Transform values already multiplied by the input chirp, in place:
-        the FFT over chirped, which the chirp's sign has fftshifted, times
-        the output factor; returns chirped."""
-        self.fft(chirped, out=chirped)
+        the FFT (_along_axes) over chirped, which the chirp's sign has
+        fftshifted, times the output factor; returns chirped."""
+        _along_axes(np.fft.fft, chirped, self.chirp.ndim)
         return np.multiply(chirped, self.post, out=chirped)
 
     def unpost(self) -> np.ndarray:
@@ -256,8 +252,16 @@ class _FastPlan:
         a complex division by post costs about three times as much.
         """
         np.multiply(values, unpost, out=out)
-        self.ifft(out, out=out)
-        return out
+        return _along_axes(np.fft.ifft, out, self.chirp.ndim)
+
+
+def _along_axes(transform, x: np.ndarray, n: int) -> np.ndarray:
+    """transform (np.fft.fft or ifft) in place along the last n axes of x,
+    last axis first: the calls, in their order, that fftn and ifftn make
+    over those axes, so the bytes are theirs; returns x."""
+    for axis in range(-1, -n - 1, -1):
+        transform(x, axis=axis, out=x)
+    return x
 
 
 def _passes(out: np.ndarray, first, transform, last):

@@ -208,15 +208,13 @@ def _moyal_pairs(seed: int) -> list[Record]:
     window = WindowSpec(synthesize("gaussian", grid, sigma=1.2), stride=2)
     rng = np.random.default_rng(seed + 2)
     out = []
-    for i, m in enumerate((fourier(1), frft(0.7), fresnel(1.5), random_free_matrix(rng, 1))):
+    for i, m in enumerate([_preset(cycle, 1)[0] for cycle in range(3)] + [random_free_matrix(rng, 1)]):
+        g1 = stnslct_gram(even, window, m)
         if i % 2 == 0:
-            g1 = stnslct_gram(even, window, m)
             g2 = stnslct_gram(odd, window, m)
             label = "orthogonal-signals"
         else:
-            wodd = WindowSpec(_odd_partner(window.window), stride=2)
-            g1 = stnslct_gram(even, window, m)
-            g2 = stnslct_gram(even, wodd, m)
+            g2 = stnslct_gram(even, WindowSpec(_odd_partner(window.window), stride=2), m)
             label = "orthogonal-windows"
         lhs = abs(moyal(g1, g2))
         rhs = lp_norm(g1, 2) * lp_norm(g2, 2)
@@ -230,7 +228,7 @@ def _matched_gaussian() -> list[Record]:
     """Matched Gaussians meet the bound at (w, u) = (0, 0) under the plain
     Fourier matrix; the sup then sits on the bound itself."""
     f = synthesize("gaussian", _grid1(), sigma=1.0)
-    wspec, m = WindowSpec(f, stride=1), fourier(1)
+    wspec, m = WindowSpec(f, stride=1), _preset(0, 1)[0]
     rep = boundedness_report(f, wspec, m, stnslct_gram(f, wspec, m))
     return [_equality("bounded", rep, "matched-gaussian")]
 

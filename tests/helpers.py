@@ -211,6 +211,31 @@ def gaussian(p_mat, q_vec, scale: complex, blocks, wpoints) -> np.ndarray:
     return amp * scale * TWO_PI ** (n / 2.0) / sqrt_det * np.exp(expo + 1j * qw)
 
 
+def gaussian_images(p_mat, q_vec, scale: complex, blocks, grid: Grid, images: int) -> np.ndarray:
+    """What the fast path computes for scale * exp(-x'Px/2 + q'x) sampled on
+    a centred grid, at fft_lattice(grid, B), from the closed form alone.
+
+    The fast path is vol * sum_x g(x) exp(-i omega . x) times the output
+    factor, with g the signal times the input chirp exp(i x'B^-1 A x/2).
+    For g negligible off the grid and a grid origin on the sample lattice,
+    Poisson summation makes that Riemann sum the sum over k of g's Fourier
+    transform at omega + 2 pi k / delta (per axis).  With w = B omega and
+    w_k = B (omega + 2 pi k / delta) this is
+    sum_k gaussian(w_k) exp(i (w'DB^-1 w - w_k'DB^-1 w_k) / 2),
+    over k in [-images, images]^n.
+    """
+    a, b, _c, d = (np.atleast_2d(np.asarray(blk, dtype=float)) for blk in blocks)
+    dbi = _phase_parts(a, b, d)[1]
+    w = fft_lattice(grid, b)
+    periods = TWO_PI / np.asarray(grid.spacing)
+    out = np.zeros(len(w), dtype=complex)
+    for k in _flat_mesh([np.arange(-images, images + 1)] * grid.n):
+        wk = w + (k * periods) @ b.T
+        turn = 0.5 * (np.einsum("pi,ij,pj->p", w, dbi, w) - np.einsum("pi,ij,pj->p", wk, dbi, wk))
+        out += gaussian(p_mat, q_vec, scale, blocks, wk) * np.exp(1j * turn)
+    return out
+
+
 # Golden verify reports (tests/data): the `nslct verify --suite all --seed k
 # --out` report of each seed, and the host whose numpy wrote them.
 

@@ -364,7 +364,7 @@ def test_signal_round_trip_keeps_extreme_doubles(tmp_path):
     bits = rng.integers(0, 2**64, size=2 * 256, dtype=np.uint64).view(float)
     vals = np.where(np.isfinite(bits), bits, 1.0)
     vals[:6] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
-    f = SampledSignal(grid1(), nio._complex_col(vals[0::2], vals[1::2]))
+    f = SampledSignal(grid1(), vals.view(np.complex128))
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     nio.write_signal(p1, f)
     back = nio.read_signal(p1)
@@ -378,7 +378,7 @@ def test_signal_rows_are_the_repr_of_each_part(tmp_path):
     sample as a Python complex, the shortest text that reads back to the
     same double, extremes and signed zeros included."""
     parts = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
-    f = SampledSignal(grid1(8, 0.5), nio._complex_col(np.array(parts), np.array(parts[::-1])))
+    f = SampledSignal(grid1(8, 0.5), np.column_stack((parts, parts[::-1])).view(np.complex128).ravel())
     nio.write_signal(tmp_path / "s.txt", f)
     rows = (tmp_path / "s.txt").read_text().split("\n")
     assert rows[1:] == [f"{x.real!r},{x.imag!r}" for x in f.values.tolist()] + [""]
@@ -650,6 +650,21 @@ def test_coverage_failure_maps_to_numeric_exit(workdir):
                          "--out", d / "x.txt")
     assert rc == 4
     assert "CoverageError" in err
+
+
+def test_faint_window_reconstructs(workdir):
+    """Coverage is judged relative to the window's energy: a window file
+    scaled by 1e-5 inverts its gram as the unit-norm window does."""
+    d, g, f, w = workdir
+    faint = d / "faint.txt"
+    nio.write_signal(faint, SampledSignal(g, 1e-5 * w.values))
+    run_cli("gram", "--signal", d / "f.txt", "--window", faint,
+            "--matrix", d / "m.txt", "--stride", 4, "--out", d / "V.txt")
+    rc, _, err = run_cli("invert", "--input", d / "V.txt",
+                         "--matrix", d / "m.txt", "--window", faint,
+                         "--out", d / "x.txt")
+    assert rc == 0, err
+    assert np.max(np.abs(nio.read_signal(d / "x.txt").values - f.values)) < 1e-12
 
 
 @pytest.mark.parametrize("command", ["transform", "direct", "gram", "invert-spectrum", "invert-gram"])

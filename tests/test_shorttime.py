@@ -39,7 +39,7 @@ from nslct import grids, shorttime
 from nslct.symplectic import frft
 from nslct.transform import _FastPlan, _plan
 
-from helpers import gaussian_1d, grid1, grid2, reference_stft, shift_sign, threads_after, traced_peak, within
+from helpers import gaussian_1d, grid1, grid2, reference_stft, rel_max_err, shift_sign, threads_after, traced_peak, within
 
 TWO_PI = 2.0 * np.pi
 
@@ -684,6 +684,24 @@ def test_sparse_cover_raises_coverage_error():
         stnslct_reconstruct(gram, wspec, m)
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e2, 1e4])
+def test_coverage_rule_does_not_depend_on_the_window_scale(scale):
+    """The partition is compared with 1e-9 of its mean, ||phi||^2, so a
+    scaled window reconstructs, or is refused, as the unit-norm one is: a
+    sigma = 1.3 window at stride 4 reconstructs at every scale, and a
+    sigma = 0.15 window at stride 16 (least partition 5.3e-12 of its mean)
+    is refused at every scale."""
+    g, m = grid1(), frft(0.7)
+    f = synthesize("chirp", g, freq=1.0, rate=0.3, sigma=1.2)
+    wide = WindowSpec(SampledSignal(g, scale * gaussian_1d(g, sigma=1.3).values), stride=4)
+    back = stnslct_reconstruct(stnslct_gram(f, wide, m), wide, m)
+    assert np.max(np.abs(back.values - f.values)) < 1e-14
+    narrow = WindowSpec(SampledSignal(g, scale * gaussian_1d(g, sigma=0.15).values), stride=16)
+    gram = stnslct_gram(f, narrow, m)
+    with pytest.raises(CoverageError):
+        stnslct_reconstruct(gram, narrow, m)
+
+
 def test_coverage_is_checked_before_any_row_is_inverted(monkeypatch):
     g = grid1()
     wspec = WindowSpec(gaussian_1d(g, sigma=0.05), stride=32)
@@ -715,6 +733,32 @@ def test_inverse_and_reconstruction_call_no_divide(n, monkeypatch):
     monkeypatch.setattr(np, "divide", divide)
     nslct_inverse(spec, m)
     stnslct_reconstruct(gram, wspec, m)
+
+
+@pytest.mark.parametrize("counts, spacing, stride", [((256,), 0.1, 4), ((2048,), 0.05, 16), ((64, 64), 0.35, 4),
+                                                     ((512, 512), 0.05, None)],
+                         ids=["256", "2048", "64x64", "512x512"])
+def test_transforms_grams_and_reconstructions_call_no_fftn(counts, spacing, stride, monkeypatch):
+    """Every FFT runs axis by axis on np.fft.fft and ifft, so the four
+    calls run with np.fft.fftn and ifftn made to raise: on 1-D grids, on a
+    64^2 grid whose whole-grid passes take one chunk, and, for the plain
+    transforms (a 512^2 gram would take hundreds of MB), on a 512^2 grid
+    that takes several.  The inputs are made first: synthesize("noise")
+    calls ifftn."""
+    g = Grid.centered(counts, spacing)
+    f = synthesize("noise", g, seed=52)
+    wspec = None if stride is None else WindowSpec(synthesize("gaussian", g, sigma=1.5), stride=stride)
+    m = random_free_matrix(np.random.default_rng(53), g.n)
+
+    def fftn(*args, **kwargs):
+        raise AssertionError("numpy.fft.fftn or ifftn called")
+
+    monkeypatch.setattr(np.fft, "fftn", fftn)
+    monkeypatch.setattr(np.fft, "ifftn", fftn)
+    assert rel_max_err(nslct_inverse(nslct_fast(f, m), m).values, f.values) < 1e-12
+    if wspec is not None:
+        back = stnslct_reconstruct(stnslct_gram(f, wspec, m), wspec, m)
+        assert rel_max_err(back.values, f.values) < 1e-12
 
 
 @pytest.mark.parametrize("counts, spacing", [(256, 0.1), (2048, 0.05)])
